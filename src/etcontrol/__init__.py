@@ -16,9 +16,8 @@ from .design import (DesignResult, LipschitzData, LyapunovCertificate,
                      TriggerConfig, design_lti, design_nonlinear, dwell_times,
                      peak_cubic_gain, validate_certificate, validate_weights)
 from .errors import DesignError, DesignWarning, SimulationError
-from .feedback import (ContainmentEstimate, ContainmentRecord, ParameterUpdate,
-                       QuadraticBound, UpdateSchedule, apply_update,
-                       containment_sphere, estimate_containment,
+from .feedback import (ContainmentRecord, ParameterUpdate, QuadraticBound,
+                       UpdateSchedule, apply_update, containment_sphere,
                        max_quadratic_on_sphere, max_V_on_sphere, update_due)
 from .linalg import (SpectralSummary, is_hurwitz, solve_lyapunov,
                      spectral_norm, spectral_summary, sym_eig)
@@ -32,18 +31,18 @@ from .simulate import (SimulationTrace, TransmissionEvent, containment_margins,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContainmentEstimate", "ContainmentRecord", "DesignError", "DesignResult",
-    "DesignWarning", "LipschitzData", "LyapunovCertificate", "ParameterUpdate",
-    "QuadraticBound", "RiccatiCoefficients", "Scenario", "SimulationError",
-    "SimulationTrace", "SpectralSummary", "SystemModel", "TransmissionEvent",
-    "TriggerConfig", "UpdateSchedule", "apply_update", "batch_reactor",
-    "containment_margins", "containment_sphere", "crossing_time",
-    "crossing_time_numeric", "cubic_oscillator", "decay_excess", "design_lti",
-    "design_nonlinear", "design_scenario", "dwell_times", "estimate_containment",
-    "is_hurwitz", "load_lti", "max_V_on_sphere", "max_quadratic_on_sphere",
-    "peak_cubic_gain", "run", "scenario_by_name", "solve_lyapunov",
-    "spectral_norm", "spectral_summary", "summarize", "summary_from_events",
-    "sym_eig", "update_due", "validate_certificate", "validate_weights",
-    "write_events_json", "write_summary_json", "write_trace_csv",
+    "ContainmentRecord", "DesignError", "DesignResult", "DesignWarning",
+    "LipschitzData", "LyapunovCertificate", "ParameterUpdate", "QuadraticBound",
+    "RiccatiCoefficients", "Scenario", "SimulationError", "SimulationTrace",
+    "SpectralSummary", "SystemModel", "TransmissionEvent", "TriggerConfig",
+    "UpdateSchedule", "apply_update", "batch_reactor", "containment_margins",
+    "containment_sphere", "crossing_time", "crossing_time_numeric",
+    "cubic_oscillator", "decay_excess", "design_lti", "design_nonlinear",
+    "design_scenario", "dwell_times", "is_hurwitz", "load_lti",
+    "max_V_on_sphere", "max_quadratic_on_sphere", "peak_cubic_gain", "run",
+    "scenario_by_name", "solve_lyapunov", "spectral_norm", "spectral_summary",
+    "summarize", "summary_from_events", "sym_eig", "update_due",
+    "validate_certificate", "validate_weights", "write_events_json",
+    "write_summary_json", "write_trace_csv",
     "__version__",
 ]

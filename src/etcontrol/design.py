@@ -93,10 +93,6 @@ class LyapunovCertificate:
     level_radius: Callable[[float], float]
     quadratic: Optional[np.ndarray] = None
 
-    @property
-    def sensor_count(self):
-        return len(self.error_gains)
-
 
 @dataclass(frozen=True)
 class LipschitzData:
@@ -145,22 +141,10 @@ class TriggerConfig:
         object.__setattr__(self, "dwells", T)
 
     @property
-    def sensor_count(self):
-        return self.thresholds.size
-
-    @property
     def threshold_norm(self):
         """Aggregate threshold W = sqrt(sum of squared finite thresholds)."""
         finite = self.thresholds[np.isfinite(self.thresholds)]
         return float(np.sqrt(np.sum(finite**2)))
-
-    @property
-    def complement_norms(self):
-        """Per-sensor aggregate over the other sensors' finite thresholds."""
-        w = self.thresholds
-        total = self.threshold_norm**2
-        own = np.where(np.isfinite(w), w**2, 0.0)
-        return np.sqrt(np.maximum(total - own, 0.0))
 
 
 @dataclass(frozen=True)

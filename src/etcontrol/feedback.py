@@ -20,13 +20,11 @@ from .errors import DesignError
 from .linalg import sym_eig
 
 __all__ = [
-    "ContainmentEstimate",
     "ContainmentRecord",
     "ParameterUpdate",
     "QuadraticBound",
     "UpdateSchedule",
     "containment_sphere",
-    "estimate_containment",
     "max_quadratic_on_sphere",
     "max_on_sphere_grid",
     "max_V_on_sphere",
@@ -35,15 +33,6 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class ContainmentEstimate:
-    """Sample-based containment ball and the certificate bound over it."""
-
-    center: np.ndarray
-    radius: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -265,13 +254,6 @@ def max_V_on_sphere(cert, center, radius):
     raise NotImplementedError(
         "maximizing a non-quadratic certificate over a sphere is only "
         "supported in the plane")
-
-
-def estimate_containment(cert, x_s, threshold_norm):
-    """Containment ball for the current samples and its certificate bound."""
-    center, radius = containment_sphere(x_s, threshold_norm)
-    value = max_V_on_sphere(cert, center, radius)
-    return ContainmentEstimate(center=center, radius=radius, value=value)
 
 
 def update_due(schedule, time, last_update, value, level):

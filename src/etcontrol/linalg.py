@@ -1,11 +1,10 @@
 """Small dense real linear algebra used by the trigger design procedures.
 
 Matrices are plain ``numpy.ndarray`` objects. All norms are Euclidean for
-vectors and induced-2 for matrices. The systems this toolkit targets are
-tiny (n <= 10 or so), so the solvers favour determinism and verifiability
-over asymptotic speed: the symmetric eigensolver is a cyclic Jacobi sweep
-and the Lyapunov equation is solved densely through its Kronecker
-vectorization.
+vectors and induced-2 for matrices. Eigenvalues, Hurwitz tests and norms
+come from numpy's LAPACK routines. The Lyapunov equation is solved
+densely through its Kronecker vectorization, and every solution is
+checked for its residual and definiteness before it is returned.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ __all__ = [
 
 # Relative asymmetry tolerated before an input is rejected as non-symmetric.
 _SYMMETRY_RTOL = 1e-12
-# Jacobi convergence: off-diagonal Frobenius mass below this times ||M||_F.
-_JACOBI_RTOL = 1e-14
-_JACOBI_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -62,8 +58,8 @@ def _require_symmetric(M, name="matrix"):
 def sym_eig(M, vectors=False):
     """Eigenvalues (and optionally eigenvectors) of a symmetric matrix.
 
-    Uses cyclic Jacobi rotations, iterating full sweeps until the
-    off-diagonal Frobenius mass drops below ``1e-14 * ||M||_F``.
+    Uses LAPACK's symmetric eigensolver (``numpy.linalg.eigh``) on the
+    symmetrized input.
 
     Parameters
     ----------
@@ -82,46 +78,9 @@ def sym_eig(M, vectors=False):
         when ``vectors`` is true.
     """
     A = _require_symmetric(M, "sym_eig input")
-    n = A.shape[0]
-    V = np.eye(n)
-    scale = np.linalg.norm(A)
-    if scale == 0.0:
-        vals = np.zeros(n)
-        return (vals, V) if vectors else vals
-    A = A.copy()
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        # Off-diagonal Frobenius mass, summed directly; subtracting diagonal
-        # mass from the total cancels catastrophically near convergence.
-        off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off <= _JACOBI_RTOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= _JACOBI_RTOL * scale / (n * n):
-                    continue
-                # Classic Jacobi rotation annihilating A[p, q].
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(tau, 1.0)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        raise ArithmeticError("Jacobi eigensolver did not converge")
-    vals = np.diag(A).copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
     if vectors:
-        return vals, V[:, order]
-    return vals
+        return np.linalg.eigh(A)
+    return np.linalg.eigvalsh(A)
 
 
 def spectral_summary(M):
@@ -131,11 +90,7 @@ def spectral_summary(M):
 
 
 def spectral_norm(M):
-    """Induced 2-norm of a matrix, or Euclidean norm of a vector.
-
-    Computed as the square root of the largest eigenvalue of the Gram
-    matrix on the smaller side of ``M``.
-    """
+    """Induced 2-norm of a matrix, or Euclidean norm of a vector."""
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError("spectral_norm input has non-finite entries")
@@ -145,42 +100,15 @@ def spectral_norm(M):
         raise ValueError(f"spectral_norm expects a vector or matrix, got shape {M.shape}")
     if min(M.shape) == 0:
         return 0.0
-    if min(M.shape) == 1:
-        return float(np.linalg.norm(M))
-    gram = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
-    top = sym_eig(gram)[-1]
-    return float(np.sqrt(max(top, 0.0)))
-
-
-def _char_poly(M):
-    """Characteristic polynomial coefficients via Faddeev-LeVerrier.
-
-    Returns coefficients of ``det(lambda I - M)`` from the leading power
-    down to the constant term.
-    """
-    n = M.shape[0]
-    coeffs = np.empty(n + 1)
-    coeffs[0] = 1.0
-    N = np.zeros_like(M)
-    I = np.eye(n)
-    for k in range(1, n + 1):
-        N = M @ N + coeffs[k - 1] * I
-        coeffs[k] = -np.trace(M @ N) / k
-    return coeffs
+    return float(np.linalg.norm(M, 2))
 
 
 def is_hurwitz(M):
-    """Whether every eigenvalue of ``M`` has a strictly negative real part.
-
-    Eigenvalues are taken as roots of the characteristic polynomial
-    (companion-matrix form), which is adequate for the small systems this
-    toolkit handles.
-    """
+    """Whether every eigenvalue of ``M`` has a strictly negative real part."""
     M = _as_matrix(M, "is_hurwitz input")
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"is_hurwitz input must be square, got shape {M.shape}")
-    roots = np.roots(_char_poly(M))
-    return bool(np.all(roots.real < 0.0))
+    return bool(np.all(np.linalg.eigvals(M).real < 0.0))
 
 
 def solve_lyapunov(A_cl, Q):

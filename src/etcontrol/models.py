@@ -63,12 +63,6 @@ class SystemModel:
     B: Optional[np.ndarray] = None
     K: Optional[np.ndarray] = None
 
-    def f_component(self, i, x, u):
-        """The i-th component of the state derivative."""
-        if not 0 <= i < self.state_dim:
-            raise ValueError(f"component index {i} out of range for n={self.state_dim}")
-        return float(self.f(np.asarray(x, dtype=float), np.asarray(u, dtype=float))[i])
-
 
 @dataclass(frozen=True)
 class Scenario:

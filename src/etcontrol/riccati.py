@@ -5,9 +5,9 @@ value problem ``phi' = a0 + a1 phi + a2 phi^2`` with ``phi(0) = 0`` and
 non-negative coefficients. The minimum dwell time of a sensor is the time
 this solution needs to climb to its error-to-state threshold. Separation
 of variables gives the crossing time as ``integral 0..w of
-dphi / (a0 + a1 phi + a2 phi^2)``, evaluated here in closed form with an
-explicit case split on the discriminant; a forward integrator doubles as
-an independent oracle and as a fallback near the branch boundary.
+dphi / (a0 + a1 phi + a2 phi^2)``, evaluated here by one closed form,
+written so that no branch subtracts nearly equal quantities. A forward
+integrator, ``crossing_time_numeric``, serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 __all__ = ["RiccatiCoefficients", "crossing_time", "crossing_time_numeric"]
-
-# Relative discriminant size below which the closed form defers to the
-# numeric integrator to avoid catastrophic cancellation.
-_DEGENERATE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,21 +64,22 @@ def crossing_time(level, coeffs):
         return 0.0
     if a0 == 0.0:
         return math.inf
-    if a2 == 0.0:
-        if a1 == 0.0:
-            return w / a0
-        return math.log1p(a1 * w / a0) / a1
+    # With D = a1^2 - 4 a0 a2, d = 2 a0 + a1 w and s = sqrt|D|, the
+    # integral is log((d + s w) / (d - s w)) / s for D > 0 and
+    # 2 atan(s w / d) / s for D < 0; both tend to 2 w / d as D -> 0.
+    # The denominator g = d - s w cancels when a0 a2 << a1^2 (s ~ a1 and
+    # d ~ a1 w), so it is formed as (d^2 - D w^2) / (d + s w), whose
+    # numerator expands to the positive sum 4 a0 (a0 + a1 w + a2 w^2).
     disc = a1 * a1 - 4.0 * a0 * a2
-    if abs(disc) < _DEGENERATE_RTOL * max(a1 * a1, 4.0 * a0 * a2):
-        # Both closed-form branches cancel badly here; integrate instead.
-        return crossing_time_numeric(w, coeffs)
+    d = 2.0 * a0 + a1 * w
+    s = math.sqrt(abs(disc))
     if disc > 0.0:
-        sd = math.sqrt(disc)
-        r1 = (-a1 + sd) / (2.0 * a2)
-        r2 = (-a1 - sd) / (2.0 * a2)
-        return math.log(((w - r1) * r2) / ((w - r2) * r1)) / sd
-    sd = math.sqrt(-disc)
-    return 2.0 * (math.atan((2.0 * a2 * w + a1) / sd) - math.atan(a1 / sd)) / sd
+        r = s * w
+        g = 4.0 * a0 * (a0 + a1 * w + a2 * w * w) / (d + r)
+        return math.log1p(2.0 * r / g) / s
+    if disc < 0.0:
+        return 2.0 * math.atan2(s * w, d) / s
+    return 2.0 * w / d
 
 
 def _rk4_trial(phi, h, a0, a1, a2):

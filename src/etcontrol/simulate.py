@@ -46,7 +46,6 @@ __all__ = [
     "TransmissionEvent",
     "SimulationTrace",
     "rk4_step",
-    "hold_step",
     "transmissions_due",
     "run",
     "summarize",
@@ -126,12 +125,6 @@ def rk4_step(f, state, control, step):
     k3 = f(state + 0.5 * step * k2, control)
     k4 = f(state + step * k3, control)
     return state + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
-def hold_step(model, state, samples, step):
-    """Advance the plant one step under control computed from held samples."""
-    control = model.controller(np.asarray(samples, dtype=float))
-    return rk4_step(model.f, np.asarray(state, dtype=float), control, float(step))
 
 
 def transmissions_due(time, state, samples, config, last_transmit, mode="decentralized"):

@@ -149,6 +149,11 @@ class TestIsHurwitz:
     def test_marginal_rotation_is_not_hurwitz(self):
         assert not is_hurwitz(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
+    def test_stiff_diagonal_is_hurwitz(self):
+        # Eigenvalues spread over four decades; characteristic-polynomial
+        # roots misplace them, direct eigenvalues do not.
+        assert is_hurwitz(np.diag(-np.logspace(0, 4, 10)))
+
     def test_agrees_with_eigvals_on_random_samples(self):
         rng = np.random.default_rng(17)
         for _ in range(50):

@@ -72,21 +72,11 @@ class TestBatchReactor:
             npt.assert_allclose(
                 scenario.model.f(x, u), BATCH_A @ x + BATCH_B @ u, rtol=1e-15)
 
-    def test_f_component(self):
-        model = batch_reactor().model
-        x = np.array([1.0, -2.0, 0.5, 3.0])
-        u = np.array([0.2, -0.1])
-        full = model.f(x, u)
-        for i in range(4):
-            assert model.f_component(i, x, u) == full[i]
-        with pytest.raises(ValueError, match="out of range"):
-            model.f_component(4, x, u)
-
     def test_design_matches_lti_path(self):
         scenario = batch_reactor()
         result = design_scenario(scenario)
         assert result.level is None
-        assert result.config.sensor_count == 4
+        assert result.config.thresholds.size == 4
         assert result.sigma == 0.95
 
 
@@ -101,7 +91,7 @@ class TestCubicOscillator:
         assert cert.norm_upper(2.0) == pytest.approx(CUBIC_PMAX * 4.0, rel=1e-10)
         assert cert.level_radius(10.0) == pytest.approx(
             math.sqrt(10.0 / CUBIC_PMIN), rel=1e-10)
-        assert cert.sensor_count == 2
+        assert len(cert.error_gains) == 2
         npt.assert_array_equal(cert.quadratic, CUBIC_P)
 
     def test_design_matches_frozen_values(self):

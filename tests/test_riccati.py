@@ -6,6 +6,7 @@ whose values below were computed by hand.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,20 @@ class TestClosedForm:
         exact = 0.3 / 1.3
         assert crossing_time(0.3, coeffs(1.0, 2.0, 1.0 + 1e-12)) == pytest.approx(
             exact, rel=1e-8)
+
+    def test_tiny_root_product_matches_oracle(self):
+        # a0 a2 << a1^2: the textbook formula rounds the root near -a0/a1 to 0.
+        w = 0.020963670921860876
+        c = coeffs(1.0146773716758175e-07, 4112.385511608493, 2.536799761286353e-07)
+        assert crossing_time(w, c) == pytest.approx(crossing_time_numeric(w, c), rel=1e-8)
+
+    def test_double_root_with_long_crossing(self):
+        # (1e-9)(1 + phi)^2: t = w / (a0 (1 + w)) = 5e8, beyond the numeric
+        # integrator's 1e7 horizon; the result must be finite and warning-free.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = crossing_time(1.0, coeffs(1e-9, 2e-9, 1e-9))
+        assert t == pytest.approx(5e8, rel=1e-12)
 
     def test_rejects_bad_levels(self):
         with pytest.raises(ValueError, match="level"):

@@ -24,7 +24,6 @@ from etcontrol.simulate import (
     TransmissionEvent,
     containment_margins,
     decay_excess,
-    hold_step,
     rk4_step,
     run,
     summarize,
@@ -81,17 +80,10 @@ class TestIntegrator:
         exact = (expm(aug * (h * steps)) @ np.append(x, 1.0))[:4]
         npt.assert_allclose(state, exact, rtol=1e-12)
 
-    def test_hold_step_uses_controller(self):
-        model = batch_reactor().model
-        x = np.array([1.0, -1.0, 0.5, 2.0])
-        xs = np.array([1.1, -0.9, 0.4, 2.1])
-        direct = rk4_step(model.f, x, BATCH_K @ xs, 1e-3)
-        npt.assert_allclose(hold_step(model, x, xs, 1e-3), direct, rtol=1e-15)
-
     def test_equilibrium_is_fixed(self):
         model = batch_reactor().model
         zero = np.zeros(4)
-        npt.assert_array_equal(hold_step(model, zero, zero, 1e-2), zero)
+        npt.assert_array_equal(rk4_step(model.f, zero, model.controller(zero), 1e-2), zero)
 
 
 class TestTransmissionsDue:
