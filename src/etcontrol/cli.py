@@ -38,9 +38,9 @@ from .feedback import QuadraticBound, UpdateSchedule, max_on_sphere_grid
 from .linalg import is_hurwitz, solve_lyapunov
 from .models import SCENARIO_NAMES, design_scenario, load_lti, scenario_by_name
 from .riccati import RiccatiCoefficients, crossing_time, crossing_time_numeric
-from .simulate import (MODES, containment_margins, decay_excess, json_ready,
-                       run, summarize, summary_from_events, write_events_json,
-                       write_summary_json, write_trace_csv)
+from .simulate import (MODES, QUANTILES, containment_margins, decay_excess,
+                       json_ready, run, summarize, summary_from_events,
+                       write_events_json, write_summary_json, write_trace_csv)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -51,7 +51,6 @@ _CONFIG_KEYS = frozenset({
     "model", "mode", "step", "horizon", "scale", "scales", "out", "sigma",
     "theta", "level", "update_dwell", "update_decay", "quantiles",
 })
-_DEFAULT_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
 def _floats(value, what):
@@ -138,7 +137,7 @@ def _run_options(args):
             dwell=0.5 if dwell is None else float(dwell),
             decay=0.5 if decay is None else float(decay))
     quantiles = _merged(args, "quantiles")
-    quantiles = _DEFAULT_QUANTILES if quantiles is None else tuple(
+    quantiles = QUANTILES if quantiles is None else tuple(
         _floats(quantiles, "quantiles"))
     return {
         "mode": mode,
@@ -226,6 +225,11 @@ def cmd_sweep(args):
     scales = _floats(_merged(args, "scales", "0.001,1.0,1000.0"), "scales")
     if len(scales) < 2:
         raise ValueError("a sweep needs at least two scales")
+    if not all(math.isfinite(scale) and scale > 0.0 for scale in scales):
+        raise ValueError(f"scales must be positive and finite, got {scales}")
+    names = [f"scale-{scale:g}" for scale in scales]
+    if len(set(names)) < len(names):
+        raise ValueError(f"scales must have distinct output directories, got {names}")
     out = _merged(args, "out")
     if out is None:
         raise ValueError("sweep requires an output directory (--out)")
@@ -236,12 +240,12 @@ def cmd_sweep(args):
     runs = []
     sequences = []
     step = None
-    for scale in scales:
+    for scale, name in zip(scales, names):
         trace = run(scenario, design=design, mode=options["mode"],
                     step=options["step"], horizon=options["horizon"],
                     scale=scale, schedule=options["schedule"])
         summary = summarize(trace, quantiles=options["quantiles"])
-        sub = _write_run_outputs(trace, summary, out_dir / f"scale-{scale:g}")
+        sub = _write_run_outputs(trace, summary, out_dir / name)
         step = trace.meta["step"]
         sequences.append([(e.sensor, e.time) for e in trace.events])
         runs.append({

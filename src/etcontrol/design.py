@@ -8,22 +8,23 @@ capped by admissible bounds from the certificate; dwell times are
 first-crossing times of the scalar comparison ODE assembled from
 Lipschitz-type growth constants.
 
-Two design paths are provided. The general path consumes a user-supplied
-Lyapunov certificate and Lipschitz data. The LTI path builds everything
-from the plant matrices: it solves a Lyapunov equation for the quadratic
-certificate and derives the growth constants from row and matrix norms.
+Both design paths end in ``dwell_times``. The certificate path takes
+threshold caps from a quadratic Lyapunov certificate and level-dependent
+growth constants from Lipschitz data. The LTI path is its special case
+with level-independent data: it solves a Lyapunov equation for the
+certificate matrix, splits the decay margin into thresholds, and takes
+the growth constants from row and matrix norms of the closed loop.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DesignError, DesignWarning
-from .linalg import solve_lyapunov, spectral_norm, spectral_summary
+from .errors import DesignError
+from .linalg import solve_lyapunov, spectral_norm, spectral_summary, sym_eig
 from .riccati import RiccatiCoefficients, crossing_time
 
 __all__ = [
@@ -56,42 +57,50 @@ def peak_cubic_gain(mu1, k1):
 
 @dataclass(frozen=True)
 class LyapunovCertificate:
-    """ISS Lyapunov certificate for a sampled-data closed loop.
+    """Quadratic ISS Lyapunov certificate ``V(x) = x^T P x`` for a
+    sampled-data closed loop.
 
-    The certificate asserts ``norm_lower(|x|) <= value(x) <= norm_upper(|x|)``
-    and a decay inequality whose disturbance terms are the per-sensor
-    ``error_gains`` applied to sampling-error magnitudes. For each level c,
-    ``threshold_bounds(c)[i]`` is the largest admissible error-to-state
-    threshold for sensor i, and ``level_radius(c)`` is the state-norm
-    radius that the sublevel set ``{x : value(x) <= c}`` fits inside.
+    The certificate asserts a decay inequality whose disturbance terms are
+    the per-sensor ``error_gains`` applied to sampling-error magnitudes.
+    For each level c, ``threshold_bounds(c)[i]`` is the largest admissible
+    error-to-state threshold for sensor i.
 
     Attributes
     ----------
-    value : callable
-        State -> certificate value V(x).
-    norm_lower, norm_upper : callable
-        Class-K-infinity envelopes of V as functions of the state norm.
-    decay : callable
-        Class-K-infinity decay margin as a function of the state norm.
+    quadratic : ndarray
+        Symmetric positive definite matrix P of the certificate.
     error_gains : tuple of callables
         Per-sensor gain of the decay inequality's error terms.
     threshold_bounds : callable
         Level c -> array of per-sensor threshold caps.
-    level_radius : callable
-        Level c -> state-norm radius of the sublevel set.
-    quadratic : ndarray, optional
-        Matrix P when ``value`` is the quadratic form x^T P x; enables the
-        exact sphere maximization used by the controller-feedback variant.
+
+    Raises
+    ------
+    ValueError
+        If ``quadratic`` is not a finite symmetric matrix.
+    DesignError
+        If ``quadratic`` is not positive definite.
     """
 
-    value: Callable[[np.ndarray], float]
-    norm_lower: Callable[[float], float]
-    norm_upper: Callable[[float], float]
-    decay: Callable[[float], float]
+    quadratic: np.ndarray
     error_gains: tuple
     threshold_bounds: Callable[[float], np.ndarray]
-    level_radius: Callable[[float], float]
-    quadratic: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        P = np.asarray(self.quadratic, dtype=float)
+        if not sym_eig(P)[0] > 0.0:
+            raise DesignError("certificate matrix must be positive definite")
+        object.__setattr__(self, "quadratic", P)
+
+    def value(self, x):
+        """Certificate value ``x^T P x``."""
+        x = np.asarray(x, dtype=float)
+        return float(x @ self.quadratic @ x)
+
+    def level_radius(self, c):
+        """State-norm radius ``sqrt(c / lambda_min(P))`` that the sublevel
+        set ``{x : V(x) <= c}`` fits inside."""
+        return float(np.sqrt(c / sym_eig(self.quadratic)[0]))
 
 
 @dataclass(frozen=True)
@@ -152,7 +161,7 @@ class DesignResult:
     """A complete trigger design plus the certificate facts it rests on."""
 
     config: TriggerConfig
-    P: Optional[np.ndarray]
+    P: np.ndarray
     q_min: float
     sigma: float
     theta: np.ndarray = field(default_factory=lambda: np.array([]))
@@ -165,7 +174,7 @@ class DesignResult:
         return {
             "sensors": [{"w": float(w[i]), "T": float(T[i])} for i in range(w.size)],
             "W": self.config.threshold_norm,
-            "P": None if self.P is None else [list(map(float, row)) for row in self.P],
+            "P": [list(map(float, row)) for row in self.P],
             "Q_m": float(self.q_min),
             "sigma": float(self.sigma),
             "theta": [float(t) for t in np.asarray(self.theta).ravel()],
@@ -173,17 +182,9 @@ class DesignResult:
         }
 
 
-def validate_weights(theta, rule="linear-sum"):
-    """Validate per-sensor design weights under the stated aggregation rule.
-
-    Parameters
-    ----------
-    theta : array_like
-        Per-sensor weights, each strictly inside (0, 1).
-    rule : {"linear-sum", "quadratic-sum"}
-        "linear-sum" requires sum(theta) <= 1 (the LTI design rule);
-        "quadratic-sum" requires sum(theta^2) <= 1 (the general rule) and
-        warns when the weights would fail the linear-sum convention.
+def validate_weights(theta):
+    """Validate per-sensor design weights: each strictly inside (0, 1),
+    and ``sum(theta) <= 1``.
 
     Returns
     -------
@@ -195,24 +196,8 @@ def validate_weights(theta, rule="linear-sum"):
         raise DesignError("theta must be a non-empty 1-D array of weights")
     if np.any(~np.isfinite(theta)) or np.any(theta <= 0.0) or np.any(theta >= 1.0):
         raise DesignError("each theta weight must lie strictly inside (0, 1)")
-    tol = 1e-12
-    if rule == "linear-sum":
-        if float(np.sum(theta)) > 1.0 + tol:
-            raise DesignError(f"sum of theta weights is {np.sum(theta):.6g}, must be <= 1")
-    elif rule == "quadratic-sum":
-        if float(np.sum(theta**2)) > 1.0 + tol:
-            raise DesignError(
-                f"sum of squared theta weights is {np.sum(theta**2):.6g}, must be <= 1")
-        if float(np.sum(theta)) > 1.0 + tol:
-            warnings.warn(
-                "theta weights satisfy the quadratic-sum rule but their plain sum "
-                f"is {np.sum(theta):.6g} > 1; they would be rejected by the "
-                "linear-sum (LTI) design path",
-                DesignWarning,
-                stacklevel=2,
-            )
-    else:
-        raise ValueError(f"unknown weight rule {rule!r}")
+    if float(np.sum(theta)) > 1.0 + 1e-12:
+        raise DesignError(f"sum of theta weights is {np.sum(theta):.6g}, must be <= 1")
     return theta
 
 
@@ -226,17 +211,21 @@ def dwell_times(thresholds, lip, level, bounds=None):
         a1 = state_gain + error_gains[i] + error_gain * W_i
         a2 = error_gain
 
-    where ``W_i`` aggregates the other sensors' thresholds. The dwell time
-    is the time this ratio needs to climb from 0 to ``thresholds[i]``.
+    where ``W_i`` aggregates the other sensors' finite thresholds. The
+    dwell time is the time this ratio needs to climb from 0 to
+    ``thresholds[i]``. An infinite threshold marks a sensor whose error
+    never affects the decay bound: it gets ``T_i = inf`` and stays out of
+    every other sensor's ``W_i``.
 
     Parameters
     ----------
     thresholds : array_like
-        Positive per-sensor thresholds w_i.
+        Positive per-sensor thresholds w_i (``inf`` for excluded sensors).
     lip : LipschitzData
         Growth constants, evaluated at ``level``.
-    level : float
-        Certificate level c the design is valid on.
+    level : float or None
+        Certificate level c the design is valid on; ``None`` for
+        level-independent growth constants.
     bounds : array_like, optional
         Admissible caps; any threshold above its cap rejects the design.
 
@@ -248,8 +237,8 @@ def dwell_times(thresholds, lip, level, bounds=None):
     w = np.asarray(thresholds, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise DesignError("thresholds must be a non-empty 1-D array")
-    if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
-        raise DesignError("thresholds must be finite and positive")
+    if np.any(np.isnan(w)) or np.any(w <= 0.0):
+        raise DesignError("thresholds must be positive (inf marks excluded sensors)")
     if bounds is not None:
         caps = np.asarray(bounds, dtype=float)
         if caps.shape != w.shape:
@@ -268,10 +257,11 @@ def dwell_times(thresholds, lip, level, bounds=None):
         raise DesignError("per-sensor Lipschitz arrays must match thresholds in shape")
     if L < 0.0 or D < 0.0 or np.any(Li < 0.0) or np.any(Di < 0.0):
         raise DesignError("Lipschitz constants must be non-negative")
-    total = float(np.sum(w**2))
-    others = np.sqrt(np.maximum(total - w**2, 0.0))
-    T = np.empty_like(w)
-    for i in range(w.size):
+    finite = np.isfinite(w)
+    finite_sq = np.where(finite, w**2, 0.0)
+    others = np.sqrt(np.maximum(np.sum(finite_sq) - finite_sq, 0.0))
+    T = np.full_like(w, np.inf)
+    for i in np.flatnonzero(finite):
         coeffs = RiccatiCoefficients(
             Li[i] + Di[i] * others[i],
             L + Di[i] + D * others[i],
@@ -306,9 +296,8 @@ def design_lti(A, B, K, Q, theta, sigma):
 
         w_i = sigma * theta_i * Q_min / |column_i(2 P B K)|
 
-    Dwell times come from the comparison ODE with coefficients built from
-    row norms of A+BK and BK, the matrix norms of both, and the aggregate
-    thresholds of the other sensors.
+    Dwell times come from ``dwell_times`` with level-independent growth
+    constants: the row norms of A+BK and BK and the matrix norms of both.
 
     A sensor whose column of ``2 P B K`` is exactly zero cannot affect the
     decay bound; it receives ``w_i = T_i = inf``, never transmits, and is
@@ -332,7 +321,7 @@ def design_lti(A, B, K, Q, theta, sigma):
     sigma = float(sigma)
     if not 0.0 < sigma < 1.0:
         raise DesignError(f"sigma must lie in (0, 1), got {sigma}")
-    theta = validate_weights(theta, rule="linear-sum")
+    theta = validate_weights(theta)
     if theta.size != n:
         raise DesignError(f"theta must supply one weight per sensor ({n}), got {theta.size}")
     A_cl = A + B @ K
@@ -344,25 +333,18 @@ def design_lti(A, B, K, Q, theta, sigma):
     column_norms = np.linalg.norm(G, axis=0)
     with np.errstate(divide="ignore"):
         w = np.where(column_norms > 0.0, sigma * theta * q_min / column_norms, np.inf)
-    finite_sq = np.where(np.isfinite(w), w**2, 0.0)
-    others = np.sqrt(np.maximum(np.sum(finite_sq) - finite_sq, 0.0))
     BK = B @ K
     norm_A_cl = spectral_norm(A_cl)
     norm_BK = spectral_norm(BK)
     row_A_cl = np.linalg.norm(A_cl, axis=1)
     row_BK = np.linalg.norm(BK, axis=1)
-    T = np.empty(n)
-    for i in range(n):
-        if not np.isfinite(w[i]):
-            T[i] = np.inf
-            continue
-        coeffs = RiccatiCoefficients(
-            row_A_cl[i] + row_BK[i] * others[i],
-            norm_A_cl + row_BK[i] + norm_BK * others[i],
-            norm_BK,
-        )
-        T[i] = crossing_time(w[i], coeffs)
-    config = TriggerConfig(thresholds=w, dwells=T)
+    lip = LipschitzData(
+        state_gain=lambda c: norm_A_cl,
+        error_gain=lambda c: norm_BK,
+        state_gains=lambda c: row_A_cl,
+        error_gains=lambda c: row_BK,
+    )
+    config = TriggerConfig(thresholds=w, dwells=dwell_times(w, lip, None))
     return DesignResult(config=config, P=P, q_min=q_min, sigma=sigma, theta=theta)
 
 
@@ -415,9 +397,7 @@ def validate_certificate(cert, level, rng=None, samples=200):
 
     Checks that each error gain vanishes at zero, increases strictly on a
     sampled grid, and stays below ``r / threshold_bounds(level)[i]`` on
-    the admissible error range; and that the envelope inequality
-    ``norm_lower(|x|) <= value(x) <= norm_upper(|x|)`` holds on sampled
-    states of the sublevel set.
+    the admissible error range.
 
     Raises
     ------
@@ -440,13 +420,3 @@ def validate_certificate(cert, level, rng=None, samples=200):
         if np.any(vals > linear_cap * (1.0 + 1e-9)):
             raise DesignError(
                 f"error gain {i} exceeds its linear bound inside the admissible range")
-    # Envelope inequality on sampled states of the sublevel set.
-    dim = cert.quadratic.shape[0] if cert.quadratic is not None else 2
-    for _ in range(samples):
-        x = rng.standard_normal(dim)
-        x *= rng.uniform(0.0, radius) / max(np.linalg.norm(x), 1e-300)
-        v = float(cert.value(x))
-        r = float(np.linalg.norm(x))
-        if not (cert.norm_lower(r) <= v * (1.0 + 1e-9) + 1e-12
-                and v <= cert.norm_upper(r) * (1.0 + 1e-9) + 1e-12):
-            raise DesignError("certificate envelope inequality fails on a sample")

@@ -15,9 +15,3 @@ class SimulationError(RuntimeError):
     Covers non-finite state derivatives and runaway triggering that
     indicates a misconfigured parameter set.
     """
-
-
-class DesignWarning(UserWarning):
-    """Emitted when a design input is admissible under the convention in
-    force but would fail the companion convention documented for the
-    other design path."""

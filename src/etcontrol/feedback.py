@@ -25,9 +25,7 @@ __all__ = [
     "QuadraticBound",
     "UpdateSchedule",
     "containment_sphere",
-    "max_quadratic_on_sphere",
     "max_on_sphere_grid",
-    "max_V_on_sphere",
     "update_due",
     "apply_update",
 ]
@@ -186,22 +184,13 @@ class QuadraticBound:
         return base_value + cross + hi * radius * radius
 
 
-def max_quadratic_on_sphere(P, center, radius):
-    """Exact maximum of ``x^T P x`` over the ball ``|x - center| <= radius``.
-
-    One-shot convenience wrapper around ``QuadraticBound``; see there for
-    the method. For positive semidefinite P the maximum over the ball is
-    attained on the bounding sphere.
-    """
-    return QuadraticBound(P)(center, radius)
-
-
 def max_on_sphere_grid(value_fn, center, radius, samples=4096):
     """Grid-plus-refinement maximum of a scalar field on a planar circle.
 
-    Independent check of (and two-dimensional fallback for) the exact
-    quadratic maximization: scans ``samples`` equally spaced angles, then
-    sharpens the best bracket by golden-section search.
+    Independent oracle for the exact quadratic maximization of
+    ``QuadraticBound``, used by the tests and the verify battery: scans
+    ``samples`` equally spaced angles, then sharpens the best bracket by
+    golden-section search.
     """
     c = np.asarray(center, dtype=float)
     if c.shape != (2,):
@@ -236,24 +225,6 @@ def max_on_sphere_grid(value_fn, center, radius, samples=4096):
             x1 = b - _GOLDEN * (b - a)
             f1 = at(x1)
     return float(max(coarse[best], f1, f2))
-
-
-def max_V_on_sphere(cert, center, radius):
-    """Largest certificate value on a containment ball.
-
-    Uses the exact secular-equation maximization when the certificate is
-    the quadratic form of a matrix, and the planar grid scan otherwise.
-    Non-quadratic certificates in dimension three or higher are not
-    supported.
-    """
-    if cert.quadratic is not None:
-        return max_quadratic_on_sphere(cert.quadratic, center, radius)
-    center = np.asarray(center, dtype=float)
-    if center.shape == (2,):
-        return max_on_sphere_grid(cert.value, center, radius)
-    raise NotImplementedError(
-        "maximizing a non-quadratic certificate over a sphere is only "
-        "supported in the plane")
 
 
 def update_due(schedule, time, last_update, value, level):

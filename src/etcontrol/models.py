@@ -222,14 +222,9 @@ def cubic_oscillator(level=10.0):
     level = float(level)
     if level <= 0.0:
         raise DesignError(f"level must be positive, got {level}")
-    p = spectral_summary(CUBIC_P)
-    p_min, p_max = p.min_eigenvalue, p.max_eigenvalue
+    p_min = spectral_summary(CUBIC_P).min_eigenvalue
     q_min = 1.0
     gain_column = float(np.linalg.norm(2.0 * CUBIC_P @ CUBIC_B))
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return float(x @ CUBIC_P @ x)
 
     def radius(c):
         return float(np.sqrt(c / p_min))
@@ -249,14 +244,9 @@ def cubic_oscillator(level=10.0):
         return gain_column * abs(CUBIC_K2) * r / (CUBIC_SIGMA * CUBIC_THETA[1] * q_min)
 
     certificate = LyapunovCertificate(
-        value=value,
-        norm_lower=lambda r: p_min * r * r,
-        norm_upper=lambda r: p_max * r * r,
-        decay=lambda r: q_min * r * r,
+        quadratic=CUBIC_P.copy(),
         error_gains=(gain_sensor1, gain_sensor2),
         threshold_bounds=bounds,
-        level_radius=radius,
-        quadratic=CUBIC_P.copy(),
     )
     return Scenario(
         name="cubic_oscillator",
@@ -319,22 +309,20 @@ def load_lti(source):
     )
 
 
-def design_scenario(scenario, level=None):
+def design_scenario(scenario):
     """Trigger design for a scenario, choosing the path its data supports."""
     if scenario.certificate is None:
         return design_lti(
             scenario.model.A, scenario.model.B, scenario.model.K,
             scenario.Q, scenario.theta, scenario.sigma)
-    if level is None:
-        level = scenario.level
-    config = design_nonlinear(scenario.certificate, scenario.lipschitz, level)
+    config = design_nonlinear(scenario.certificate, scenario.lipschitz, scenario.level)
     return DesignResult(
         config=config,
         P=scenario.certificate.quadratic,
         q_min=spectral_summary(scenario.Q).min_eigenvalue,
         sigma=scenario.sigma,
         theta=scenario.theta,
-        level=float(level),
+        level=float(scenario.level),
     )
 
 

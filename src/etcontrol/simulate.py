@@ -37,7 +37,6 @@ from .feedback import (
     UpdateSchedule,
     apply_update,
     containment_sphere,
-    max_V_on_sphere,
     update_due,
 )
 from .models import design_scenario
@@ -57,6 +56,9 @@ __all__ = [
 ]
 
 MODES = ("decentralized", "centralized", "centralized-nodwell", "feedback")
+
+# Default probabilities at which the summaries sample each sensor's gaps.
+QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 # Consecutive firing boundaries tolerated before the run is aborted as
 # effectively Zeno (transmitting at every opportunity).
@@ -92,8 +94,8 @@ class SimulationTrace:
         Held sensor samples in effect after each boundary's
         transmissions, shape (n_boundaries, dim).
     lyapunov : ndarray or None
-        Certificate value at each boundary when a certificate or a
-        quadratic design matrix is available.
+        Certificate value ``x^T P x`` at each boundary; ``run`` always
+        sets it.
     events : list of TransmissionEvent
         Transmissions in processing order (time, then sensor index).
     updates : list of ParameterUpdate
@@ -251,10 +253,8 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
         if np.any(config.thresholds[finite] > caps[finite] * (1.0 + 1e-9)):
             raise DesignError("trigger thresholds exceed their admissible bounds")
 
-    quad = cert.quadratic if cert is not None and cert.quadratic is not None else design.P
-    bound = None
-    if mode == "feedback" and cert is not None and cert.quadratic is not None:
-        bound = QuadraticBound(cert.quadratic)
+    P = design.P if cert is None else cert.quadratic
+    bound = QuadraticBound(P) if mode == "feedback" else None
 
     times = np.arange(n_steps + 1) * h
     states = np.empty((n_steps + 1, model.state_dim))
@@ -287,8 +287,7 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
             consecutive_firing = 0
         if mode == "feedback":
             center, radius = containment_sphere(x_s, config.threshold_norm)
-            value = bound(center, radius) if bound is not None else \
-                max_V_on_sphere(cert, center, radius)
+            value = bound(center, radius)
             if value > 0.0 and update_due(schedule, t, last_update, value, level):
                 update = apply_update(cert, lip, value, t, level)
                 updates.append(update)
@@ -307,16 +306,6 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
                 raise SimulationError(
                     f"state became non-finite at t={float(times[k + 1]):.6g}")
 
-    if cert is not None:
-        if cert.quadratic is not None:
-            lyap = np.einsum("ki,ij,kj->k", states, cert.quadratic, states)
-        else:
-            lyap = np.array([float(cert.value(s)) for s in states])
-    elif quad is not None:
-        lyap = np.einsum("ki,ij,kj->k", states, quad, states)
-    else:
-        lyap = None
-
     meta = {
         "scenario": scenario.name,
         "mode": mode,
@@ -326,19 +315,19 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
         "boundaries": n_steps + 1,
         "thresholds": [float(v) for v in initial_thresholds],
         "dwells": [float(v) for v in initial_dwells],
-        "threshold_norm": float(np.sqrt(np.sum(np.where(
-            np.isfinite(initial_thresholds), initial_thresholds**2, 0.0)))),
+        "threshold_norm": design.config.threshold_norm,
         "level": None if design.level is None else float(design.level),
         "final_level": None if level is None else float(level),
         "event_timing": "triggers are evaluated at step boundaries and events "
                         "carry the boundary timestamp",
     }
     return SimulationTrace(
-        times=times, states=states, samples=samples, lyapunov=lyap,
+        times=times, states=states, samples=samples,
+        lyapunov=np.einsum("ki,ij,kj->k", states, P, states),
         events=events, updates=updates, containment=containment, meta=meta)
 
 
-def sensor_statistics(times_by_sensor, dwells, quantiles=(0.1, 0.25, 0.5, 0.75, 0.9)):
+def sensor_statistics(times_by_sensor, dwells, quantiles=QUANTILES):
     """Gap statistics for each sensor's transmission times.
 
     ``times_by_sensor`` holds one ascending sequence of event times per
@@ -376,7 +365,7 @@ def sensor_statistics(times_by_sensor, dwells, quantiles=(0.1, 0.25, 0.5, 0.75, 
     return sensors
 
 
-def summary_from_events(records, dwells, quantiles=(0.1, 0.25, 0.5, 0.75, 0.9)):
+def summary_from_events(records, dwells, quantiles=QUANTILES):
     """Per-sensor statistics recomputed from serialized event records.
 
     ``records`` is an iterable of event dicts in the shape the events
@@ -395,7 +384,7 @@ def summary_from_events(records, dwells, quantiles=(0.1, 0.25, 0.5, 0.75, 0.9)):
     return sensor_statistics(times_by_sensor, dwells, quantiles)
 
 
-def summarize(trace, quantiles=(0.1, 0.25, 0.5, 0.75, 0.9)):
+def summarize(trace, quantiles=QUANTILES):
     """Per-sensor transmission statistics plus run-level facts.
 
     Gap statistics are consecutive differences of each sensor's event

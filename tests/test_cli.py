@@ -282,6 +282,20 @@ class TestSweepCommand:
                         "--scales", "1.0", "--out", str(tmp_path / "s")]) == 1
         assert "two scales" in capsys.readouterr().err
 
+    def test_scales_with_one_output_name_write_nothing(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert run_cli(["sweep", "--model", "batch_reactor", "--horizon", "0.5",
+                        "--scales", "1,1.0000001", "--out", str(out)]) == 1
+        assert "distinct" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonpositive_scale_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert run_cli(["sweep", "--model", "batch_reactor", "--horizon", "0.5",
+                        "--scales", "1,-1", "--out", str(out)]) == 1
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_module_entry_point_runs():
     proc = subprocess.run(

@@ -21,7 +21,7 @@ from etcontrol.design import (
     peak_cubic_gain,
     validate_weights,
 )
-from etcontrol.errors import DesignError, DesignWarning
+from etcontrol.errors import DesignError
 from etcontrol.riccati import RiccatiCoefficients, crossing_time, crossing_time_numeric
 
 A = np.array([
@@ -61,29 +61,17 @@ CUBIC_PMIN = 0.14009804864072153
 
 class TestValidateWeights:
     def test_linear_sum_accepts_reactor_weights(self):
-        npt.assert_array_equal(validate_weights(THETA, "linear-sum"), THETA)
+        npt.assert_array_equal(validate_weights(THETA), THETA)
 
     def test_linear_sum_rejects_oversized(self):
         with pytest.raises(DesignError, match="sum"):
-            validate_weights([0.8, 0.6], "linear-sum")
-
-    def test_quadratic_sum_warns_when_linear_rule_fails(self):
-        with pytest.warns(DesignWarning, match="linear-sum"):
-            validate_weights([0.8, 0.6], "quadratic-sum")
-
-    def test_quadratic_sum_rejects_oversized(self):
-        with pytest.raises(DesignError, match="squared"):
-            validate_weights([0.9, 0.9], "quadratic-sum")
+            validate_weights([0.8, 0.6])
 
     def test_rejects_out_of_range_entries(self):
         with pytest.raises(DesignError, match="strictly inside"):
-            validate_weights([0.5, 1.0], "linear-sum")
+            validate_weights([0.5, 1.0])
         with pytest.raises(DesignError, match="strictly inside"):
-            validate_weights([0.5, -0.1], "linear-sum")
-
-    def test_rejects_unknown_rule(self):
-        with pytest.raises(ValueError, match="rule"):
-            validate_weights([0.5], "product")
+            validate_weights([0.5, -0.1])
 
 
 class TestTriggerConfig:
@@ -237,6 +225,13 @@ class TestDwellTimes:
             )
             assert T[i] == pytest.approx(crossing_time(w[i], coeffs), rel=1e-14)
 
+    def test_infinite_threshold_excludes_sensor(self):
+        lip = self._constant_lip(3.0, 1.5, [1.0, 2.0, 0.5], [0.5, 1.0, 0.7])
+        T = dwell_times([0.4, np.inf, 0.3], lip, level=2.0)
+        assert T[1] == np.inf
+        alone = self._constant_lip(3.0, 1.5, [1.0, 0.5], [0.5, 0.7])
+        npt.assert_array_equal(T[[0, 2]], dwell_times([0.4, 0.3], alone, level=2.0))
+
     def test_rejects_threshold_above_bound(self):
         lip = self._constant_lip(1.0, 0.0, [1.0, 1.0], [0.0, 0.0])
         with pytest.raises(DesignError, match="exceeds"):
@@ -251,6 +246,8 @@ class TestDwellTimes:
         lip = self._constant_lip(1.0, 0.0, [1.0], [0.0])
         with pytest.raises(DesignError, match="positive"):
             dwell_times([0.0], lip, level=1.0)
+        with pytest.raises(DesignError, match="positive"):
+            dwell_times([np.nan], lip, level=1.0)
 
 
 class TestCubicThresholdBounds:

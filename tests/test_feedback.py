@@ -1,19 +1,16 @@
 """Tests for containment balls, sphere maximization, and on-line updates."""
 
-import dataclasses
-
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from etcontrol.errors import DesignError
 from etcontrol.feedback import (
+    QuadraticBound,
     UpdateSchedule,
     apply_update,
     containment_sphere,
     max_on_sphere_grid,
-    max_quadratic_on_sphere,
-    max_V_on_sphere,
     update_due,
 )
 from etcontrol.models import cubic_oscillator
@@ -82,43 +79,42 @@ class TestContainmentSphere:
 
 class TestMaxQuadraticOnSphere:
     def test_hard_case_axis_aligned(self):
-        assert max_quadratic_on_sphere(
-            np.diag([1.0, 4.0]), [1.0, 0.0], 0.5) == pytest.approx(7.0 / 3.0, rel=1e-12)
-        assert max_quadratic_on_sphere(
-            np.diag([4.0, 1.0]), [0.0, 1.0], 2.0) == pytest.approx(52.0 / 3.0, rel=1e-12)
+        assert QuadraticBound(np.diag([1.0, 4.0]))(
+            [1.0, 0.0], 0.5) == pytest.approx(7.0 / 3.0, rel=1e-12)
+        assert QuadraticBound(np.diag([4.0, 1.0]))(
+            [0.0, 1.0], 2.0) == pytest.approx(52.0 / 3.0, rel=1e-12)
 
     def test_hard_case_three_dimensional(self):
         # max 2x^2 + 2y^2 + z^2 on x^2 + y^2 + (z-1)^2 = 4 is 10 at z = 2.
-        assert max_quadratic_on_sphere(
-            np.diag([2.0, 2.0, 1.0]), [0.0, 0.0, 1.0], 2.0) == pytest.approx(10.0, rel=1e-12)
+        assert QuadraticBound(np.diag([2.0, 2.0, 1.0]))(
+            [0.0, 0.0, 1.0], 2.0) == pytest.approx(10.0, rel=1e-12)
 
     def test_isotropic_matrix(self):
-        assert max_quadratic_on_sphere(
-            np.eye(2), [1.0, 0.0], 2.0) == pytest.approx(9.0, rel=1e-12)
+        assert QuadraticBound(np.eye(2))([1.0, 0.0], 2.0) == pytest.approx(9.0, rel=1e-12)
 
     def test_zero_radius_returns_center_value(self):
         P = np.array([[2.0, 0.5], [0.5, 1.0]])
         c = np.array([1.0, -1.0])
-        assert max_quadratic_on_sphere(P, c, 0.0) == pytest.approx(float(c @ P @ c))
+        assert QuadraticBound(P)(c, 0.0) == pytest.approx(float(c @ P @ c))
 
     def test_centered_ball(self):
         P = np.array([[2.0, 0.5], [0.5, 1.0]])
         lam_max = np.linalg.eigvalsh(P)[-1]
-        assert max_quadratic_on_sphere(P, [0.0, 0.0], 3.0) == pytest.approx(
+        assert QuadraticBound(P)([0.0, 0.0], 3.0) == pytest.approx(
             9.0 * lam_max, rel=1e-12)
 
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError, match="radius"):
-            max_quadratic_on_sphere(np.eye(2), [0.0, 0.0], -1.0)
+            QuadraticBound(np.eye(2))([0.0, 0.0], -1.0)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(19)
         P = np.diag([3.0, 1.0, 0.5])
         c = np.array([0.7, -0.2, 1.1])
-        base = max_quadratic_on_sphere(P, c, 0.8)
+        base = QuadraticBound(P)(c, 0.8)
         for _ in range(10):
             U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-            rotated = max_quadratic_on_sphere(U.T @ P @ U, U.T @ c, 0.8)
+            rotated = QuadraticBound(U.T @ P @ U)(U.T @ c, 0.8)
             assert rotated == pytest.approx(base, rel=1e-10)
 
     def test_against_planar_grid_scan(self):
@@ -128,7 +124,7 @@ class TestMaxQuadraticOnSphere:
             P = M @ M.T + 0.1 * np.eye(2)
             c = rng.standard_normal(2)
             R = rng.uniform(0.1, 3.0)
-            exact = max_quadratic_on_sphere(P, c, R)
+            exact = QuadraticBound(P)(c, R)
             scan = max_on_sphere_grid(lambda x: float(x @ P @ x), c, R)
             assert exact == pytest.approx(scan, rel=1e-9)
 
@@ -139,7 +135,7 @@ class TestMaxQuadraticOnSphere:
             P = M @ M.T + 0.1 * np.eye(3)
             c = rng.standard_normal(3)
             R = rng.uniform(0.2, 2.0)
-            assert max_quadratic_on_sphere(P, c, R) == pytest.approx(
+            assert QuadraticBound(P)(c, R) == pytest.approx(
                 _secular_oracle(P, c, R), rel=1e-7)
 
     def test_dominates_sampled_ball_points(self):
@@ -148,7 +144,7 @@ class TestMaxQuadraticOnSphere:
         P = M @ M.T + 0.2 * np.eye(4)
         c = rng.standard_normal(4)
         R = 1.3
-        bound = max_quadratic_on_sphere(P, c, R)
+        bound = QuadraticBound(P)(c, R)
         for _ in range(300):
             y = rng.standard_normal(4)
             y *= rng.uniform(0.0, R) / np.linalg.norm(y)
@@ -173,27 +169,6 @@ class TestMaxOnSphereGrid:
         assert value == pytest.approx(np.sqrt(2.0), rel=1e-10)
 
 
-class TestMaxVOnSphere:
-    def test_quadratic_certificate_uses_exact_path(self):
-        cert = cubic_oscillator().certificate
-        center = np.array([1.0, -0.5])
-        exact = max_V_on_sphere(cert, center, 0.4)
-        assert exact == pytest.approx(
-            max_quadratic_on_sphere(cert.quadratic, center, 0.4), rel=1e-14)
-
-    def test_general_planar_certificate_falls_back_to_grid(self):
-        cert = cubic_oscillator().certificate
-        general = dataclasses.replace(cert, quadratic=None)
-        center = np.array([1.0, -0.5])
-        assert max_V_on_sphere(general, center, 0.4) == pytest.approx(
-            max_V_on_sphere(cert, center, 0.4), rel=1e-8)
-
-    def test_general_high_dimension_unsupported(self):
-        cert = dataclasses.replace(cubic_oscillator().certificate, quadratic=None)
-        with pytest.raises(NotImplementedError, match="plane"):
-            max_V_on_sphere(cert, [1.0, 0.0, 0.0], 0.5)
-
-
 class TestEstimateContainment:
     def test_bound_is_sound_for_consistent_states(self):
         cert = cubic_oscillator().certificate
@@ -201,7 +176,7 @@ class TestEstimateContainment:
         x_s = np.array([2.9, -2.7])
         W = 0.0833
         center, radius = containment_sphere(x_s, W)
-        value = max_V_on_sphere(cert, center, radius)
+        value = QuadraticBound(cert.quadratic)(center, radius)
         for _ in range(200):
             y = rng.standard_normal(2)
             y *= rng.uniform(0.0, radius) / np.linalg.norm(y)

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from etcontrol.design import validate_certificate
+from etcontrol.design import LyapunovCertificate, validate_certificate
 from etcontrol.errors import DesignError
 from etcontrol.models import (
     BATCH_A,
@@ -33,7 +33,6 @@ CUBIC_T10 = np.array([0.00401995, 0.00340147])
 CUBIC_W25 = np.array([0.01729268, 0.08320503])
 CUBIC_D2_AT_10 = 504.65898834596265
 CUBIC_PMIN = (1.3 - math.sqrt(1.04)) / 2.0
-CUBIC_PMAX = (1.3 + math.sqrt(1.04)) / 2.0
 NOMINAL_CUBIC = np.array([[0.0, 1.0], [-5.0, -4.0]])
 # Published closed-loop eigenvalues of the reactor benchmark.
 REACTOR_EIGS = np.array([
@@ -87,8 +86,6 @@ class TestCubicOscillator:
 
     def test_certificate_envelopes(self):
         cert = cubic_oscillator().certificate
-        assert cert.norm_lower(2.0) == pytest.approx(CUBIC_PMIN * 4.0, rel=1e-10)
-        assert cert.norm_upper(2.0) == pytest.approx(CUBIC_PMAX * 4.0, rel=1e-10)
         assert cert.level_radius(10.0) == pytest.approx(
             math.sqrt(10.0 / CUBIC_PMIN), rel=1e-10)
         assert len(cert.error_gains) == 2
@@ -107,7 +104,7 @@ class TestCubicOscillator:
         npt.assert_allclose(result.config.dwells, [0.004, 0.0034], rtol=0.10)
 
     def test_design_at_lower_level(self):
-        result = design_scenario(cubic_oscillator(), level=2.5)
+        result = design_scenario(cubic_oscillator(level=2.5))
         npt.assert_allclose(result.config.thresholds, CUBIC_W25, rtol=1e-6)
         assert result.level == 2.5
         assert result.to_dict()["c"] == 2.5
@@ -215,11 +212,13 @@ class TestValidateCertificate:
         with pytest.raises(DesignError, match="vanish"):
             validate_certificate(offset, 10.0)
 
-    def test_rejects_broken_envelope(self):
+    def test_rejects_indefinite_quadratic(self):
         cert = cubic_oscillator().certificate
-        broken = dataclasses.replace(cert, norm_lower=lambda r: 100.0 * r * r)
-        with pytest.raises(DesignError, match="envelope"):
-            validate_certificate(broken, 10.0)
+        with pytest.raises(DesignError, match="positive definite"):
+            LyapunovCertificate(np.diag([1.0, -1.0]), cert.error_gains,
+                                cert.threshold_bounds)
+        with pytest.raises(ValueError, match="symmetric"):
+            dataclasses.replace(cert, quadratic=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 class TestLoadLti:
