@@ -11,20 +11,20 @@ a certificate and :func:`design_lti` from the plant matrices, both
 through :func:`dwell_times`; :func:`run` simulates a scenario, and the
 bundled benchmarks live in :mod:`etcontrol.models`. The ``etcontrol``
 command exposes the same paths from the shell.
+
+The package namespace holds what a user calls. The building blocks
+underneath (linear algebra in :mod:`etcontrol.linalg`, crossing times in
+:mod:`etcontrol.riccati`, containment and on-line updates in
+:mod:`etcontrol.feedback`, the cubic oscillator's bounds in
+:mod:`etcontrol.models`) are imported from their modules.
 """
 
 from .design import (DesignResult, LipschitzData, LyapunovCertificate,
-                     TriggerConfig, design_lti, design_nonlinear, dwell_times,
-                     peak_cubic_gain, validate_certificate, validate_weights)
+                     TriggerConfig, design_lti, design_nonlinear, dwell_times)
 from .errors import DesignError, SimulationError
-from .feedback import (ContainmentRecord, ParameterUpdate, QuadraticBound,
-                       UpdateSchedule, apply_update, containment_sphere,
-                       update_due)
-from .linalg import (SpectralSummary, is_hurwitz, solve_lyapunov,
-                     spectral_norm, spectral_summary, sym_eig)
+from .feedback import UpdateSchedule
 from .models import (Scenario, SystemModel, batch_reactor, cubic_oscillator,
                      design_scenario, load_lti, scenario_by_name)
-from .riccati import RiccatiCoefficients, crossing_time, crossing_time_numeric
 from .simulate import (SimulationTrace, TransmissionEvent, containment_margins,
                        decay_excess, run, summarize, summary_from_events,
                        write_events_json, write_summary_json, write_trace_csv)
@@ -32,18 +32,12 @@ from .simulate import (SimulationTrace, TransmissionEvent, containment_margins,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContainmentRecord", "DesignError", "DesignResult",
-    "LipschitzData", "LyapunovCertificate", "ParameterUpdate", "QuadraticBound",
-    "RiccatiCoefficients", "Scenario", "SimulationError", "SimulationTrace",
-    "SpectralSummary", "SystemModel", "TransmissionEvent", "TriggerConfig",
-    "UpdateSchedule", "apply_update", "batch_reactor", "containment_margins",
-    "containment_sphere", "crossing_time", "crossing_time_numeric",
-    "cubic_oscillator", "decay_excess", "design_lti", "design_nonlinear",
-    "design_scenario", "dwell_times", "is_hurwitz", "load_lti",
-    "peak_cubic_gain", "run",
-    "scenario_by_name", "solve_lyapunov", "spectral_norm", "spectral_summary",
-    "summarize", "summary_from_events", "sym_eig", "update_due",
-    "validate_certificate", "validate_weights", "write_events_json",
+    "DesignError", "DesignResult", "LipschitzData", "LyapunovCertificate",
+    "Scenario", "SimulationError", "SimulationTrace", "SystemModel",
+    "TransmissionEvent", "TriggerConfig", "UpdateSchedule", "batch_reactor",
+    "containment_margins", "cubic_oscillator", "decay_excess", "design_lti",
+    "design_nonlinear", "design_scenario", "dwell_times", "load_lti", "run",
+    "scenario_by_name", "summarize", "summary_from_events", "write_events_json",
     "write_summary_json", "write_trace_csv",
     "__version__",
 ]

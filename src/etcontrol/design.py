@@ -8,12 +8,13 @@ capped by admissible bounds from the certificate; dwell times are
 first-crossing times of the scalar comparison ODE assembled from
 Lipschitz-type growth constants.
 
-Both design paths end in ``dwell_times``. The certificate path takes
-threshold caps from a quadratic Lyapunov certificate and level-dependent
-growth constants from Lipschitz data. The LTI path is its special case
-with level-independent data: it solves a Lyapunov equation for the
-certificate matrix, splits the decay margin into thresholds, and takes
-the growth constants from row and matrix norms of the closed loop.
+Both design paths end in ``dwell_times``, which takes the growth
+constants as plain numbers. The certificate path evaluates a certificate's
+threshold caps and a model's Lipschitz data at one level c. The LTI path
+is its special case with bounds that hold globally: it solves a Lyapunov
+equation for the certificate matrix, splits the decay margin into
+thresholds, and takes the growth constants from row and matrix norms of
+the closed loop. Model-specific bounds live with their models.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DesignError
-from .linalg import solve_lyapunov, spectral_norm, spectral_summary, sym_eig
+from .linalg import solve_lyapunov, spectral_norm, sym_eig
 from .riccati import RiccatiCoefficients, crossing_time
 
 __all__ = [
@@ -36,23 +37,8 @@ __all__ = [
     "dwell_times",
     "design_nonlinear",
     "design_lti",
-    "peak_cubic_gain",
-    "cubic_threshold_bounds",
     "validate_certificate",
 ]
-
-
-def peak_cubic_gain(mu1, k1):
-    """Largest magnitude of ``3 x1^2 - k1`` over ``|x1| <= mu1``.
-
-    The quadratic is extremal at the interval center and endpoints, so the
-    maximum is ``max(|k1|, |3 mu1^2 - k1|)``; the nonnegative envelope is
-    grid-verified in the test suite.
-    """
-    mu1 = float(mu1)
-    if mu1 < 0.0:
-        raise ValueError(f"mu1 must be non-negative, got {mu1}")
-    return max(abs(float(k1)), abs(3.0 * mu1 * mu1 - float(k1)))
 
 
 @dataclass(frozen=True)
@@ -105,18 +91,19 @@ class LyapunovCertificate:
 
 @dataclass(frozen=True)
 class LipschitzData:
-    """Growth constants of the closed loop as functions of the level c.
+    """Growth constants of the closed loop on one operating region.
 
-    ``state_gain(c)`` and ``error_gain(c)`` bound the full dynamics:
-    |f(x, k(x + x_e))| <= state_gain(c) |x| + error_gain(c) |x_e| on the
-    sublevel set of c. ``state_gains(c)[i]`` and ``error_gains(c)[i]``
-    bound the i-th component of f the same way.
+    ``state_gain`` and ``error_gain`` bound the full dynamics:
+    |f(x, k(x + x_e))| <= state_gain |x| + error_gain |x_e| on the region
+    (a certificate sublevel set, or the whole space for a linear loop).
+    ``state_gains[i]`` and ``error_gains[i]`` bound the i-th component of
+    f the same way.
     """
 
-    state_gain: Callable[[float], float]
-    error_gain: Callable[[float], float]
-    state_gains: Callable[[float], np.ndarray]
-    error_gains: Callable[[float], np.ndarray]
+    state_gain: float
+    error_gain: float
+    state_gains: np.ndarray
+    error_gains: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -201,8 +188,8 @@ def validate_weights(theta):
     return theta
 
 
-def dwell_times(thresholds, lip, level, bounds=None):
-    """Minimum dwell times for the given thresholds at a design level.
+def dwell_times(thresholds, lip, bounds=None):
+    """Minimum dwell times for the given thresholds.
 
     For sensor i the sampling-error-to-state ratio obeys the comparison
     ODE ``phi' = a0 + a1 phi + a2 phi^2`` with
@@ -222,10 +209,7 @@ def dwell_times(thresholds, lip, level, bounds=None):
     thresholds : array_like
         Positive per-sensor thresholds w_i (``inf`` for excluded sensors).
     lip : LipschitzData
-        Growth constants, evaluated at ``level``.
-    level : float or None
-        Certificate level c the design is valid on; ``None`` for
-        level-independent growth constants.
+        Growth constants on the region the design is valid on.
     bounds : array_like, optional
         Admissible caps; any threshold above its cap rejects the design.
 
@@ -249,10 +233,10 @@ def dwell_times(thresholds, lip, level, bounds=None):
             raise DesignError(
                 f"threshold {w[i]:.6g} for sensor {i} exceeds its admissible "
                 f"bound {caps[i]:.6g}")
-    L = float(lip.state_gain(level))
-    D = float(lip.error_gain(level))
-    Li = np.asarray(lip.state_gains(level), dtype=float)
-    Di = np.asarray(lip.error_gains(level), dtype=float)
+    L = float(lip.state_gain)
+    D = float(lip.error_gain)
+    Li = np.asarray(lip.state_gains, dtype=float)
+    Di = np.asarray(lip.error_gains, dtype=float)
     if Li.shape != w.shape or Di.shape != w.shape:
         raise DesignError("per-sensor Lipschitz arrays must match thresholds in shape")
     if L < 0.0 or D < 0.0 or np.any(Li < 0.0) or np.any(Di < 0.0):
@@ -271,11 +255,12 @@ def dwell_times(thresholds, lip, level, bounds=None):
     return T
 
 
-def design_nonlinear(cert, lip, level):
+def design_nonlinear(cert, lipschitz, level):
     """Trigger design from a certificate: thresholds at their admissible caps.
 
     Uses ``w_i = threshold_bounds(level)[i]`` (the largest admissible
-    choice) and assembles dwell times from the Lipschitz data.
+    choice) and assembles dwell times from ``lipschitz(level)``, the
+    model's ``LipschitzData`` on the sublevel set of ``level``.
     """
     level = float(level)
     if not level > 0.0:
@@ -283,7 +268,7 @@ def design_nonlinear(cert, lip, level):
     w = np.asarray(cert.threshold_bounds(level), dtype=float)
     if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
         raise DesignError("certificate produced non-positive threshold bounds")
-    T = dwell_times(w, lip, level, bounds=w)
+    T = dwell_times(w, lipschitz(level), bounds=w)
     return TriggerConfig(thresholds=w, dwells=T)
 
 
@@ -326,7 +311,7 @@ def design_lti(A, B, K, Q, theta, sigma):
         raise DesignError(f"theta must supply one weight per sensor ({n}), got {theta.size}")
     A_cl = A + B @ K
     P = solve_lyapunov(A_cl, Q)
-    q_min = spectral_summary(Q).min_eigenvalue
+    q_min = float(sym_eig(Q)[0])
     if q_min <= 0.0:
         raise DesignError("Q must be positive definite")
     G = 2.0 * P @ B @ K
@@ -334,62 +319,10 @@ def design_lti(A, B, K, Q, theta, sigma):
     with np.errstate(divide="ignore"):
         w = np.where(column_norms > 0.0, sigma * theta * q_min / column_norms, np.inf)
     BK = B @ K
-    norm_A_cl = spectral_norm(A_cl)
-    norm_BK = spectral_norm(BK)
-    row_A_cl = np.linalg.norm(A_cl, axis=1)
-    row_BK = np.linalg.norm(BK, axis=1)
-    lip = LipschitzData(
-        state_gain=lambda c: norm_A_cl,
-        error_gain=lambda c: norm_BK,
-        state_gains=lambda c: row_A_cl,
-        error_gains=lambda c: row_BK,
-    )
-    config = TriggerConfig(thresholds=w, dwells=dwell_times(w, lip, None))
+    lip = LipschitzData(spectral_norm(A_cl), spectral_norm(BK),
+                        np.linalg.norm(A_cl, axis=1), np.linalg.norm(BK, axis=1))
+    config = TriggerConfig(thresholds=w, dwells=dwell_times(w, lip))
     return DesignResult(config=config, P=P, q_min=q_min, sigma=sigma, theta=theta)
-
-
-def cubic_threshold_bounds(level, mu, mu1, k1, k2, P, B, q_min, sigma, theta1, theta2):
-    """Admissible threshold caps for the two-sensor cubic oscillator.
-
-    Sensor 1 feeds a cubic error term whose gain over the operating region
-    is the polynomial ``mu^2 + 3 mu1 mu + peak`` with
-    ``peak = max(|k1|, |3 mu1^2 - k1|)``, the largest magnitude of
-    ``3 x1^2 - k1`` over ``|x1| <= mu1``. Sensor 2 enters linearly with
-    gain ``|k2|``, so its cap does not depend on the level.
-
-    Parameters
-    ----------
-    level : float
-        Certificate level c (>= 0).
-    mu, mu1 : float
-        State-norm radius of the sublevel set and the first-component
-        radius used by the cubic gain bound.
-    k1, k2 : float
-        Linear controller gains on the two state components.
-    P : ndarray
-        Certificate matrix of the quadratic form.
-    B : ndarray
-        Input column of the plant.
-    q_min : float
-        Smallest eigenvalue of the decay weight.
-    sigma : float
-        Decay margin split across sensors, in (0, 1).
-    theta1, theta2 : float
-        Per-sensor shares of the margin.
-
-    Returns
-    -------
-    ndarray
-        Array ``[cap_1, cap_2]``.
-    """
-    level = float(level)
-    if level < 0.0:
-        raise DesignError(f"level must be non-negative, got {level}")
-    gain_column = spectral_norm(2.0 * np.asarray(P) @ np.asarray(B).reshape(-1, 1))
-    poly = mu * mu + 3.0 * mu1 * mu + peak_cubic_gain(mu1, k1)
-    cap1 = sigma * theta1 * q_min / (gain_column * poly)
-    cap2 = sigma * theta2 * q_min / (gain_column * abs(k2))
-    return np.array([cap1, cap2])
 
 
 def validate_certificate(cert, level, rng=None, samples=200):

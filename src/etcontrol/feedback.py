@@ -24,6 +24,7 @@ __all__ = [
     "ParameterUpdate",
     "QuadraticBound",
     "UpdateSchedule",
+    "DEFAULT_SCHEDULE",
     "containment_sphere",
     "max_on_sphere_grid",
     "update_due",
@@ -74,6 +75,10 @@ class UpdateSchedule:
             raise ValueError(f"update decay must lie in (0, 1), got {self.decay}")
         object.__setattr__(self, "dwell", dwell)
         object.__setattr__(self, "decay", decay)
+
+
+# Update schedule used when a feedback run names none.
+DEFAULT_SCHEDULE = UpdateSchedule(dwell=0.5, decay=0.5)
 
 
 def containment_sphere(x_s, threshold_norm):
@@ -239,8 +244,8 @@ def apply_update(cert, lip, value, time, current_level):
     ----------
     cert : LyapunovCertificate
         Certificate supplying the admissible threshold caps.
-    lip : LipschitzData
-        Growth constants for the dwell-time assembly.
+    lip : callable
+        Level -> ``LipschitzData`` for the dwell-time assembly.
     value : float
         The new level: the current containment bound.
     time : float

@@ -9,16 +9,12 @@ checked for its residual and definiteness before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DesignError
 
 __all__ = [
-    "SpectralSummary",
     "sym_eig",
-    "spectral_summary",
     "spectral_norm",
     "solve_lyapunov",
     "is_hurwitz",
@@ -26,14 +22,6 @@ __all__ = [
 
 # Relative asymmetry tolerated before an input is rejected as non-symmetric.
 _SYMMETRY_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Extreme eigenvalues of a symmetric matrix."""
-
-    min_eigenvalue: float
-    max_eigenvalue: float
 
 
 def _as_matrix(M, name="matrix"):
@@ -81,12 +69,6 @@ def sym_eig(M, vectors=False):
     if vectors:
         return np.linalg.eigh(A)
     return np.linalg.eigvalsh(A)
-
-
-def spectral_summary(M):
-    """Smallest and largest eigenvalues of a symmetric matrix."""
-    vals = sym_eig(M)
-    return SpectralSummary(float(vals[0]), float(vals[-1]))
 
 
 def spectral_norm(M):

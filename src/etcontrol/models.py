@@ -6,7 +6,9 @@ Two fully parameterized case studies ship with the toolkit:
   four states, two inputs, each state measured by its own sensor.
 * ``cubic_oscillator``: a second-order system with a cubic nonlinearity
   cancelled through sampled feedback, two sensors, with a closed-form
-  quadratic certificate and level-dependent Lipschitz data.
+  quadratic certificate. Its threshold caps, certificate error gains and
+  Lipschitz data are all bounds on the operating region of a level c and
+  are defined here, around one cubic error polynomial.
 
 Custom LTI scenarios can be loaded from a JSON document via ``load_lti``.
 """
@@ -23,19 +25,18 @@ from .design import (
     DesignResult,
     LipschitzData,
     LyapunovCertificate,
-    cubic_threshold_bounds,
     design_lti,
     design_nonlinear,
-    peak_cubic_gain,
 )
 from .errors import DesignError
-from .linalg import is_hurwitz, spectral_summary
+from .linalg import is_hurwitz, spectral_norm, sym_eig
 
 __all__ = [
     "SystemModel",
     "Scenario",
     "batch_reactor",
     "cubic_oscillator",
+    "peak_cubic_gain",
     "lipschitz_bounds_cubic",
     "cubic_error_injection",
     "load_lti",
@@ -66,7 +67,12 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A system plus everything needed to design and simulate its triggers."""
+    """A system plus everything needed to design and simulate its triggers.
+
+    Certificate scenarios also carry ``lipschitz``, which maps a level c
+    to the ``LipschitzData`` on the sublevel set of c, and the ``level``
+    the initial design is made at.
+    """
 
     name: str
     model: SystemModel
@@ -78,7 +84,7 @@ class Scenario:
     horizon: float
     step: float
     certificate: Optional[LyapunovCertificate] = None
-    lipschitz: Optional[LipschitzData] = None
+    lipschitz: Optional[Callable[[float], LipschitzData]] = None
     level: Optional[float] = None
     feedback_step: Optional[float] = None
 
@@ -152,6 +158,13 @@ CUBIC_K1 = -5.0
 CUBIC_K2 = -3.0
 CUBIC_SIGMA = 0.9
 CUBIC_THETA = np.array([0.9, 0.1])
+# Smallest eigenvalue of the decay weight Q = I.
+CUBIC_Q_MIN = 1.0
+# Smallest eigenvalue of the certificate matrix, and the gain |2 P B| of
+# the input column in the certificate's rate as an induced 2-norm (its
+# Frobenius norm differs in the last bit).
+_CUBIC_P_MIN = float(sym_eig(CUBIC_P)[0])
+_CUBIC_GAIN_COLUMN = spectral_norm(2.0 * CUBIC_P @ CUBIC_B)
 
 
 def _cubic_model():
@@ -185,8 +198,54 @@ def _cubic_nominal_matrix():
     return np.array([[0.0, 1.0], [CUBIC_K1, -1.0 + CUBIC_K2]])
 
 
+def peak_cubic_gain(mu1, k1):
+    """Largest magnitude of ``3 x1^2 - k1`` over ``|x1| <= mu1``.
+
+    The quadratic is extremal at the interval center and endpoints, so the
+    maximum is ``max(|k1|, |3 mu1^2 - k1|)``; the nonnegative envelope is
+    grid-verified in the test suite.
+    """
+    mu1 = float(mu1)
+    if mu1 < 0.0:
+        raise ValueError(f"mu1 must be non-negative, got {mu1}")
+    return max(abs(float(k1)), abs(3.0 * mu1 * mu1 - float(k1)))
+
+
+def _cubic_gain(mu1, r):
+    """Gain ``r^2 + 3 mu1 r + peak`` of sensor 1's cubic error response.
+
+    For a sampling error of magnitude at most ``r`` on the first state
+    component, itself at most ``mu1`` in magnitude, the error term is at
+    most this polynomial times ``r``.
+    """
+    return r * r + 3.0 * mu1 * r + peak_cubic_gain(mu1, CUBIC_K1)
+
+
+def _cubic_radius(level):
+    """State-norm radius of the certificate's sublevel set of ``level``."""
+    level = float(level)
+    if level < 0.0:
+        raise DesignError(f"level must be non-negative, got {level}")
+    return float(np.sqrt(level / _CUBIC_P_MIN))
+
+
+def _cubic_threshold_bounds(level):
+    """Admissible threshold caps ``[cap_1, cap_2]`` at a level.
+
+    Sensor 1 feeds the cubic error term, bounded on the sublevel set by
+    ``_cubic_gain(mu, mu)`` with ``mu`` the set's radius. Sensor 2 enters
+    linearly with gain ``|k2|``, so its cap does not depend on the level.
+    """
+    mu = _cubic_radius(level)
+    cap1 = CUBIC_SIGMA * CUBIC_THETA[0] * CUBIC_Q_MIN / (
+        _CUBIC_GAIN_COLUMN * _cubic_gain(mu, mu))
+    cap2 = CUBIC_SIGMA * CUBIC_THETA[1] * CUBIC_Q_MIN / (
+        _CUBIC_GAIN_COLUMN * abs(CUBIC_K2))
+    return np.array([cap1, cap2])
+
+
 def lipschitz_bounds_cubic(level):
-    """Level-dependent growth constants for the cubic oscillator.
+    """Growth constants for the cubic oscillator on the sublevel set of a level.
 
     The first component of the dynamics is linear in the state alone; the
     second collects the nominal row plus the cubic and linear error
@@ -195,25 +254,14 @@ def lipschitz_bounds_cubic(level):
     region; whole-vector constants aggregate the component bounds in the
     Euclidean sense.
     """
-    level = float(level)
-    if level < 0.0:
-        raise DesignError(f"level must be non-negative, got {level}")
-    A_cl = _cubic_nominal_matrix()
-    row_norms = np.linalg.norm(A_cl, axis=1)
-    p_min = spectral_summary(CUBIC_P).min_eigenvalue
-    whole_state = float(np.hypot(row_norms[0], row_norms[1]))
-
-    def error_response(c):
-        mu = np.sqrt(c / p_min)
-        mu1 = mu
-        poly = mu * mu + 3.0 * mu1 * mu + peak_cubic_gain(mu1, CUBIC_K1)
-        return float(np.hypot(poly, CUBIC_K2))
-
+    mu = _cubic_radius(level)
+    row_norms = np.linalg.norm(_cubic_nominal_matrix(), axis=1)
+    error_response = float(np.hypot(_cubic_gain(mu, mu), CUBIC_K2))
     return LipschitzData(
-        state_gain=lambda c: whole_state,
+        state_gain=float(np.hypot(row_norms[0], row_norms[1])),
         error_gain=error_response,
-        state_gains=lambda c: row_norms.copy(),
-        error_gains=lambda c: np.array([0.0, error_response(c)]),
+        state_gains=row_norms,
+        error_gains=np.array([0.0, error_response]),
     )
 
 
@@ -222,31 +270,20 @@ def cubic_oscillator(level=10.0):
     level = float(level)
     if level <= 0.0:
         raise DesignError(f"level must be positive, got {level}")
-    p_min = spectral_summary(CUBIC_P).min_eigenvalue
-    q_min = 1.0
-    gain_column = float(np.linalg.norm(2.0 * CUBIC_P @ CUBIC_B))
-
-    def radius(c):
-        return float(np.sqrt(c / p_min))
-
-    def bounds(c):
-        mu = radius(c)
-        return cubic_threshold_bounds(
-            c, mu, mu, CUBIC_K1, CUBIC_K2, CUBIC_P, CUBIC_B,
-            q_min, CUBIC_SIGMA, CUBIC_THETA[0], CUBIC_THETA[1])
+    mu1 = _cubic_radius(level)
 
     def gain_sensor1(r):
-        mu1 = radius(level)
-        poly = r * r + 3.0 * mu1 * r + peak_cubic_gain(mu1, CUBIC_K1)
-        return gain_column * poly * r / (CUBIC_SIGMA * CUBIC_THETA[0] * q_min)
+        return _CUBIC_GAIN_COLUMN * _cubic_gain(mu1, r) * r / (
+            CUBIC_SIGMA * CUBIC_THETA[0] * CUBIC_Q_MIN)
 
     def gain_sensor2(r):
-        return gain_column * abs(CUBIC_K2) * r / (CUBIC_SIGMA * CUBIC_THETA[1] * q_min)
+        return _CUBIC_GAIN_COLUMN * abs(CUBIC_K2) * r / (
+            CUBIC_SIGMA * CUBIC_THETA[1] * CUBIC_Q_MIN)
 
     certificate = LyapunovCertificate(
         quadratic=CUBIC_P.copy(),
         error_gains=(gain_sensor1, gain_sensor2),
-        threshold_bounds=bounds,
+        threshold_bounds=_cubic_threshold_bounds,
     )
     return Scenario(
         name="cubic_oscillator",
@@ -259,7 +296,7 @@ def cubic_oscillator(level=10.0):
         horizon=10.0,
         step=1e-4,
         certificate=certificate,
-        lipschitz=lipschitz_bounds_cubic(level),
+        lipschitz=lipschitz_bounds_cubic,
         level=level,
         feedback_step=6e-4,
     )
@@ -319,7 +356,7 @@ def design_scenario(scenario):
     return DesignResult(
         config=config,
         P=scenario.certificate.quadratic,
-        q_min=spectral_summary(scenario.Q).min_eigenvalue,
+        q_min=float(sym_eig(scenario.Q)[0]),
         sigma=scenario.sigma,
         theta=scenario.theta,
         level=float(scenario.level),

@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import DesignError, SimulationError
 from .feedback import (
+    DEFAULT_SCHEDULE,
     ContainmentRecord,
     QuadraticBound,
-    UpdateSchedule,
     apply_update,
     containment_sphere,
     update_due,
@@ -93,9 +93,8 @@ class SimulationTrace:
     samples : ndarray
         Held sensor samples in effect after each boundary's
         transmissions, shape (n_boundaries, dim).
-    lyapunov : ndarray or None
-        Certificate value ``x^T P x`` at each boundary; ``run`` always
-        sets it.
+    lyapunov : ndarray
+        Certificate value ``x^T P x`` at each boundary.
     events : list of TransmissionEvent
         Transmissions in processing order (time, then sensor index).
     updates : list of ParameterUpdate
@@ -109,7 +108,7 @@ class SimulationTrace:
     times: np.ndarray
     states: np.ndarray
     samples: np.ndarray
-    lyapunov: np.ndarray | None
+    lyapunov: np.ndarray
     events: list = field(default_factory=list)
     updates: list = field(default_factory=list)
     containment: list = field(default_factory=list)
@@ -189,7 +188,8 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
         Factor applied to both initial conditions, for scale-invariance
         experiments.
     schedule : UpdateSchedule, optional
-        Update timing for feedback mode; defaults to dwell 0.5, decay 0.5.
+        Update timing for feedback mode; defaults to ``DEFAULT_SCHEDULE``
+        of :mod:`etcontrol.feedback`.
 
     Returns
     -------
@@ -235,7 +235,7 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
         if level is None:
             raise DesignError("feedback mode needs a design level to shrink")
         if schedule is None:
-            schedule = UpdateSchedule(dwell=0.5, decay=0.5)
+            schedule = DEFAULT_SCHEDULE
 
     x = scale * np.asarray(scenario.x0, dtype=float)
     x_s = scale * np.asarray(scenario.xs0, dtype=float)
@@ -401,7 +401,7 @@ def summarize(trace, quantiles=QUANTILES):
     times_by_sensor = [
         [e.time for e in trace.events if e.sensor == i] for i in range(dim)]
     sensors = sensor_statistics(times_by_sensor, dwells, quantiles)
-    out = {
+    return {
         "scenario": trace.meta.get("scenario"),
         "mode": trace.meta.get("mode"),
         "step": trace.meta.get("step"),
@@ -412,11 +412,9 @@ def summarize(trace, quantiles=QUANTILES):
         "updates": len(trace.updates),
         "level": trace.meta.get("level"),
         "final_level": trace.meta.get("final_level"),
+        "initial_value": float(trace.lyapunov[0]),
+        "final_value": float(trace.lyapunov[-1]),
     }
-    if trace.lyapunov is not None:
-        out["initial_value"] = float(trace.lyapunov[0])
-        out["final_value"] = float(trace.lyapunov[-1])
-    return out
 
 
 def decay_excess(trace, sigma, Q=None, q_min=None):
@@ -429,8 +427,6 @@ def decay_excess(trace, sigma, Q=None, q_min=None):
     ``dV/dt + (1 - sigma) m(x)``, non-positive wherever the guarantee
     holds.
     """
-    if trace.lyapunov is None:
-        raise ValueError("trace carries no certificate values")
     if (Q is None) == (q_min is None):
         raise ValueError("supply exactly one of Q and q_min")
     rate = np.gradient(trace.lyapunov, trace.times)
@@ -494,24 +490,21 @@ def write_trace_csv(trace, path):
     """Write the boundary-sampled trajectory as CSV.
 
     Columns are the boundary time, the state components, the held
-    samples, and, when certificate values are attached, the certificate
-    value and its finite-difference rate. Floats are written in shortest
-    round-trip form, so identical runs produce byte-identical files.
+    samples, the certificate value and its finite-difference rate. Floats
+    are written in shortest round-trip form, so identical runs produce
+    byte-identical files.
     """
     dim = trace.states.shape[1]
     header = ["t"]
     header += [f"x{i + 1}" for i in range(dim)]
     header += [f"xs{i + 1}" for i in range(dim)]
-    rate = None
-    if trace.lyapunov is not None:
-        header += ["V", "Vdot"]
-        rate = np.gradient(trace.lyapunov, trace.times)
+    header += ["V", "Vdot"]
+    rate = np.gradient(trace.lyapunov, trace.times)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for k in range(trace.times.size):
-            row = [trace.times[k], *trace.states[k], *trace.samples[k]]
-            if rate is not None:
-                row += [trace.lyapunov[k], rate[k]]
+            row = [trace.times[k], *trace.states[k], *trace.samples[k],
+                   trace.lyapunov[k], rate[k]]
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 

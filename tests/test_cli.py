@@ -10,8 +10,10 @@ import pytest
 
 from etcontrol import cli
 from etcontrol.design import design_lti
+from etcontrol.feedback import UpdateSchedule
 from etcontrol.models import BATCH_A, BATCH_B, BATCH_K, design_scenario, \
     scenario_by_name
+from etcontrol.simulate import SimulationTrace, TransmissionEvent
 
 # Threshold of the first cubic-oscillator sensor at level 2.5, frozen
 # from the design path (matches the design-module regression values).
@@ -213,6 +215,14 @@ class TestSimulateCommand:
                         "--update-dwell", "0.2"]) == 1
         assert "feedback" in capsys.readouterr().err
 
+    def test_partial_update_override_keeps_other_default(self):
+        for flag, expected in (("--update-dwell", UpdateSchedule(0.2, 0.5)),
+                               ("--update-decay", UpdateSchedule(0.5, 0.2))):
+            args = cli.build_parser().parse_args(
+                ["simulate", "--model", "cubic_oscillator", "--mode", "feedback",
+                 flag, "0.2", "--out", "unused"])
+            assert cli._run_options(args)["schedule"] == expected
+
     def test_feedback_run_records_updates(self, tmp_path, capsys):
         out = tmp_path / "fb"
         assert run_cli(["simulate", "--model", "cubic_oscillator",
@@ -276,6 +286,30 @@ class TestSweepCommand:
                 assert (sub / name).exists()
         traces = [(d / "trace.csv").read_text() for d in dirs]
         assert traces[0] != traces[1]
+
+    def test_swapped_interleaving_matches_per_sensor(self, tmp_path, monkeypatch,
+                                                     capsys):
+        # Both runs have one event per sensor; the second swaps their order,
+        # so each sensor's event moves by exactly one step.
+        orders = {1.0: [(0, 0.2), (1, 0.3)], 2.0: [(1, 0.2), (0, 0.3)]}
+
+        def fake_run(scenario, scale=1.0, **kwargs):
+            zeros = np.zeros((5, 2))
+            return SimulationTrace(
+                times=np.linspace(0.0, 0.4, 5), states=zeros, samples=zeros,
+                lyapunov=np.zeros(5),
+                events=[TransmissionEvent(i, t, 0.0, t) for i, t in orders[scale]],
+                meta={"scenario": "synthetic", "step": 0.1, "dwells": [0.05, 0.05]})
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        out = tmp_path / "s"
+        assert run_cli(["sweep", "--model", "batch_reactor", "--scales", "1,2",
+                        "--out", str(out)]) == 0
+        assert "agree within one step" in capsys.readouterr().out
+        agreement = json.loads((out / "sweep.json").read_text())["agreement"]
+        assert agreement["counts_identical"] is True
+        assert agreement["within_one_step"] is True
+        assert agreement["max_time_delta"] == pytest.approx(0.1)
 
     def test_needs_two_scales(self, tmp_path, capsys):
         assert run_cli(["sweep", "--model", "batch_reactor", "--horizon", "0.5",

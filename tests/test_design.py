@@ -15,13 +15,12 @@ from etcontrol.design import (
     DesignResult,
     LipschitzData,
     TriggerConfig,
-    cubic_threshold_bounds,
     design_lti,
     dwell_times,
-    peak_cubic_gain,
     validate_weights,
 )
 from etcontrol.errors import DesignError
+from etcontrol.models import cubic_oscillator, peak_cubic_gain
 from etcontrol.riccati import RiccatiCoefficients, crossing_time, crossing_time_numeric
 
 A = np.array([
@@ -52,11 +51,9 @@ REACTOR_T_PUBLISHED = np.array([0.011, 0.0154, 0.0126, 0.0199])
 
 # Frozen prototype outputs for the cubic-oscillator design at level 10.
 CUBIC_P = np.array([[1.15, 0.1], [0.1, 0.15]])
-CUBIC_B = np.array([[0.0], [1.0]])
 CUBIC_W10 = np.array([0.00445167, 0.08320503])
 CUBIC_W25 = np.array([0.01729268, 0.08320503])
 CUBIC_POLY10 = 504.65007135476606
-CUBIC_PMIN = 0.14009804864072153
 
 
 class TestValidateWeights:
@@ -196,25 +193,21 @@ class TestDesignLti:
 
 class TestDwellTimes:
     def _constant_lip(self, state, error, per_state, per_error):
-        return LipschitzData(
-            state_gain=lambda c: state,
-            error_gain=lambda c: error,
-            state_gains=lambda c: np.asarray(per_state, dtype=float),
-            error_gains=lambda c: np.asarray(per_error, dtype=float),
-        )
+        return LipschitzData(state, error, np.asarray(per_state, dtype=float),
+                             np.asarray(per_error, dtype=float))
 
     def test_no_error_gain_reduces_to_logarithm(self):
         # With D = D_i = 0 the comparison ODE is phi' = L_i + L phi.
         lip = self._constant_lip(2.0, 0.0, [1.0, 3.0], [0.0, 0.0])
         w = np.array([0.5, 0.25])
-        T = dwell_times(w, lip, level=1.0)
+        T = dwell_times(w, lip)
         expected = [math.log1p(2.0 * 0.5 / 1.0) / 2.0, math.log1p(2.0 * 0.25 / 3.0) / 2.0]
         npt.assert_allclose(T, expected, rtol=1e-12)
 
     def test_matches_direct_assembly(self):
         lip = self._constant_lip(3.0, 1.5, [1.0, 2.0], [0.5, 1.0])
         w = np.array([0.4, 0.3])
-        T = dwell_times(w, lip, level=2.0)
+        T = dwell_times(w, lip)
         total = float(np.sum(w**2))
         for i in range(2):
             other = math.sqrt(total - w[i] ** 2)
@@ -227,34 +220,32 @@ class TestDwellTimes:
 
     def test_infinite_threshold_excludes_sensor(self):
         lip = self._constant_lip(3.0, 1.5, [1.0, 2.0, 0.5], [0.5, 1.0, 0.7])
-        T = dwell_times([0.4, np.inf, 0.3], lip, level=2.0)
+        T = dwell_times([0.4, np.inf, 0.3], lip)
         assert T[1] == np.inf
         alone = self._constant_lip(3.0, 1.5, [1.0, 0.5], [0.5, 0.7])
-        npt.assert_array_equal(T[[0, 2]], dwell_times([0.4, 0.3], alone, level=2.0))
+        npt.assert_array_equal(T[[0, 2]], dwell_times([0.4, 0.3], alone))
 
     def test_rejects_threshold_above_bound(self):
         lip = self._constant_lip(1.0, 0.0, [1.0, 1.0], [0.0, 0.0])
         with pytest.raises(DesignError, match="exceeds"):
-            dwell_times([0.5, 0.4], lip, level=1.0, bounds=[0.5, 0.39])
+            dwell_times([0.5, 0.4], lip, bounds=[0.5, 0.39])
 
     def test_rejects_negative_constants(self):
         lip = self._constant_lip(1.0, -0.5, [1.0], [0.0])
         with pytest.raises(DesignError, match="non-negative"):
-            dwell_times([0.5], lip, level=1.0)
+            dwell_times([0.5], lip)
 
     def test_rejects_bad_thresholds(self):
         lip = self._constant_lip(1.0, 0.0, [1.0], [0.0])
         with pytest.raises(DesignError, match="positive"):
-            dwell_times([0.0], lip, level=1.0)
+            dwell_times([0.0], lip)
         with pytest.raises(DesignError, match="positive"):
-            dwell_times([np.nan], lip, level=1.0)
+            dwell_times([np.nan], lip)
 
 
 class TestCubicThresholdBounds:
     def _bounds(self, level):
-        mu = math.sqrt(level / CUBIC_PMIN)
-        return cubic_threshold_bounds(
-            level, mu, mu, -5.0, -3.0, CUBIC_P, CUBIC_B, 1.0, 0.9, 0.9, 0.1)
+        return cubic_oscillator().certificate.threshold_bounds(level)
 
     def test_level_10_matches_frozen(self):
         npt.assert_allclose(self._bounds(10.0), CUBIC_W10, rtol=1e-6)
@@ -274,14 +265,12 @@ class TestCubicThresholdBounds:
 
     def test_zero_level_limit(self):
         # mu = 0 leaves only the peak-gain term in the polynomial.
-        bounds = cubic_threshold_bounds(
-            0.0, 0.0, 0.0, -5.0, -3.0, CUBIC_P, CUBIC_B, 1.0, 0.9, 0.9, 0.1)
+        bounds = self._bounds(0.0)
         assert bounds[0] == pytest.approx(0.81 / (math.sqrt(0.13) * 5.0), rel=1e-12)
 
     def test_rejects_negative_level(self):
         with pytest.raises(DesignError, match="level"):
-            cubic_threshold_bounds(
-                -1.0, 0.0, 0.0, -5.0, -3.0, CUBIC_P, CUBIC_B, 1.0, 0.9, 0.9, 0.1)
+            self._bounds(-1.0)
 
 
 class TestPeakCubicGain:

@@ -12,11 +12,9 @@ import scipy.linalg
 
 from etcontrol.errors import DesignError
 from etcontrol.linalg import (
-    SpectralSummary,
     is_hurwitz,
     solve_lyapunov,
     spectral_norm,
-    spectral_summary,
     sym_eig,
 )
 
@@ -89,19 +87,6 @@ class TestSymEig:
 
     def test_zero_matrix(self):
         npt.assert_allclose(sym_eig(np.zeros((3, 3))), np.zeros(3), atol=0)
-
-
-class TestSpectralSummary:
-    def test_extremes(self):
-        summary = spectral_summary(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert summary == SpectralSummary(pytest.approx(1.0), pytest.approx(3.0))
-
-    def test_ordering_invariant(self):
-        rng = np.random.default_rng(3)
-        M = rng.standard_normal((4, 4))
-        M = M + M.T
-        summary = spectral_summary(M)
-        assert summary.min_eigenvalue <= summary.max_eigenvalue
 
 
 class TestSpectralNorm:

@@ -137,14 +137,14 @@ class TestCubicOscillator:
 class TestLipschitzBoundsCubic:
     def test_constants_match_frozen_values(self):
         lip = lipschitz_bounds_cubic(10.0)
-        npt.assert_allclose(lip.state_gains(10.0), [1.0, math.sqrt(41.0)], rtol=1e-12)
-        npt.assert_allclose(lip.error_gains(10.0), [0.0, CUBIC_D2_AT_10], rtol=1e-9)
-        assert lip.state_gain(10.0) == pytest.approx(math.sqrt(42.0), rel=1e-12)
-        assert lip.error_gain(10.0) == pytest.approx(CUBIC_D2_AT_10, rel=1e-9)
+        npt.assert_allclose(lip.state_gains, [1.0, math.sqrt(41.0)], rtol=1e-12)
+        npt.assert_allclose(lip.error_gains, [0.0, CUBIC_D2_AT_10], rtol=1e-9)
+        assert lip.state_gain == pytest.approx(math.sqrt(42.0), rel=1e-12)
+        assert lip.error_gain == pytest.approx(CUBIC_D2_AT_10, rel=1e-9)
 
     def test_error_gain_grows_with_level(self):
-        lip = lipschitz_bounds_cubic(10.0)
-        assert lip.error_gain(2.5) < lip.error_gain(10.0) < lip.error_gain(40.0)
+        gains = [lipschitz_bounds_cubic(c).error_gain for c in (2.5, 10.0, 40.0)]
+        assert gains[0] < gains[1] < gains[2]
 
     def test_rejects_negative_level(self):
         with pytest.raises(DesignError, match="level"):
@@ -155,9 +155,9 @@ class TestLipschitzBoundsCubic:
         # whole-vector analogue over the operating region of level 10.
         lip = lipschitz_bounds_cubic(10.0)
         mu = math.sqrt(10.0 / CUBIC_PMIN)
-        L1, L2 = lip.state_gains(10.0)
-        D1, D2 = lip.error_gains(10.0)
-        L, D = lip.state_gain(10.0), lip.error_gain(10.0)
+        L1, L2 = lip.state_gains
+        D1, D2 = lip.error_gains
+        L, D = lip.state_gain, lip.error_gain
         rng = np.random.default_rng(41)
         n = 10_000
         x = rng.standard_normal((n, 2))

@@ -339,7 +339,7 @@ class TestSummarize:
         events = [TransmissionEvent(0, t, 0.0, 0.0) for t in (0.0, 1.0, 3.0, 6.0)]
         events.append(TransmissionEvent(1, 2.0, 0.0, 0.5))
         trace = SimulationTrace(
-            times=times, states=zeros, samples=zeros, lyapunov=None,
+            times=times, states=zeros, samples=zeros, lyapunov=np.zeros(7),
             events=events, meta={"scenario": "synthetic", "mode": "decentralized",
                                  "dwells": [0.5, 1.0]})
         doc = summarize(trace)
@@ -361,7 +361,7 @@ class TestSummarize:
         zeros = np.zeros((4, 1))
         events = [TransmissionEvent(0, t, 0.0, 0.0) for t in (0.0, 1.0, 3.0)]
         trace = SimulationTrace(
-            times=times, states=zeros, samples=zeros, lyapunov=None,
+            times=times, states=zeros, samples=zeros, lyapunov=np.zeros(4),
             events=events, meta={"scenario": "synthetic", "mode": "decentralized",
                                  "dwells": [0.5]})
         doc = summarize(trace, quantiles=(0.0, 1.0))
