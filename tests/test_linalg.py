@@ -89,6 +89,23 @@ class TestSymEig:
         npt.assert_allclose(sym_eig(np.zeros((3, 3))), np.zeros(3), atol=0)
 
 
+class TestSpectralSummary:
+    """The extremes callers read from `sym_eig` (the minimum is `vals[0]`)."""
+
+    def test_extremes(self):
+        vals = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert float(vals[0]) == pytest.approx(1.0)
+        assert float(vals[-1]) == pytest.approx(3.0)
+
+    def test_ordering_invariant(self):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((4, 4))
+        M = M + M.T
+        vals = sym_eig(M)
+        assert float(vals[0]) == pytest.approx(float(np.min(vals)))
+        assert float(vals[0]) <= float(vals[-1])
+
+
 class TestSpectralNorm:
     def test_diagonal(self):
         assert spectral_norm(np.diag([2.0, 5.0])) == pytest.approx(5.0, rel=1e-12)
