@@ -8,9 +8,9 @@ simulate
     Run the event-triggered closed loop and write trace, event, and
     summary files into an output directory.
 verify
-    Run the runtime invariant battery, including fault injections that
-    must be caught, and emit a machine-readable report; the exit code
-    states whether every check passed.
+    Run the invariant battery of :mod:`etcontrol.verify`, including fault
+    injections that must be caught, and emit its machine-readable report;
+    the exit code states whether every check passed.
 sweep
     Run one scenario at several initial-condition scales with isolated
     output directories and report event-sequence agreement.
@@ -20,6 +20,9 @@ describing a linear plant. A JSON config file can hold any flag value;
 explicit flags override the file. Exit codes: 0 success, 1 validation
 failure, 2 numerical failure, 3 I/O failure. Files state durations in
 seconds; the console summaries use milliseconds.
+
+This module only resolves flags and config files, calls the library and
+writes files and console output; the checks live in :mod:`etcontrol.verify`.
 """
 
 import argparse
@@ -27,19 +30,15 @@ import dataclasses
 import json
 import math
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .design import TriggerConfig
+from . import verify
 from .errors import DesignError, SimulationError
-from .feedback import DEFAULT_SCHEDULE, QuadraticBound, max_on_sphere_grid
-from .linalg import is_hurwitz, solve_lyapunov
+from .feedback import DEFAULT_SCHEDULE
 from .models import SCENARIO_NAMES, design_scenario, load_lti, scenario_by_name
-from .riccati import RiccatiCoefficients, crossing_time, crossing_time_numeric
-from .simulate import (MODES, QUANTILES, containment_margins, decay_excess,
-                       json_ready, run, summarize, summary_from_events,
+from .simulate import (MODES, QUANTILES, dump_json, run, summarize,
                        write_events_json, write_summary_json, write_trace_csv)
 
 EXIT_OK = 0
@@ -153,23 +152,22 @@ def _ms(seconds):
     return "n/a" if seconds is None else f"{1000.0 * seconds:.3f} ms"
 
 
-def _print_run_summary(summary, stream=None):
-    stream = stream or sys.stdout
+def _print_run_summary(summary):
     print(
         f"{summary['scenario']} [{summary['mode']}]: "
         f"{summary['horizon']:.3f} s at step {_ms(summary['step'])}, "
         f"{summary['transmissions']} transmissions, "
-        f"{summary['updates']} parameter updates", file=stream)
+        f"{summary['updates']} parameter updates")
     for entry in summary["sensors"]:
         label = f"  sensor {entry['sensor'] + 1}: {entry['count']} events"
         if entry["min_gap"] is not None:
             label += (f", gaps min {_ms(entry['min_gap'])}"
                       f" / mean {_ms(entry['mean_gap'])}"
                       f" / max {_ms(entry['max_gap'])}")
-        print(label, file=stream)
+        print(label)
     print(
         f"  certificate: {summary['initial_value']:.6g} initial, "
-        f"{summary['final_value']:.6g} final", file=stream)
+        f"{summary['final_value']:.6g} final")
 
 
 def _write_run_outputs(trace, summary, out_dir):
@@ -185,16 +183,10 @@ def cmd_design(args):
     """Emit the trigger design for a model as a JSON document."""
     scenario = _resolve_scenario(args)
     design = design_scenario(scenario)
-    text = json.dumps(json_ready(design.to_dict()), indent=2, sort_keys=True) + "\n"
     out = _merged(args, "out")
+    text = dump_json(design.to_dict(), out)
     if out is None:
         sys.stdout.write(text)
-    else:
-        path = Path(out)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
     return EXIT_OK
 
 
@@ -235,8 +227,6 @@ def cmd_sweep(args):
         raise ValueError("sweep requires an output directory (--out)")
     design = design_scenario(scenario)
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     runs = []
     base = None
     max_delta = 0.0
@@ -245,15 +235,15 @@ def cmd_sweep(args):
                     step=options["step"], horizon=options["horizon"],
                     scale=scale, schedule=options["schedule"])
         summary = summarize(trace, quantiles=options["quantiles"])
-        sub = _write_run_outputs(trace, summary, out_dir / name)
+        _write_run_outputs(trace, summary, out_dir / name)
         step = trace.meta["step"]
         if base is None:
             base = trace
         else:
-            max_delta = max(max_delta, _matched_event_delta(base, trace))
+            max_delta = max(max_delta, verify.matched_event_delta(base, trace))
         runs.append({
             "scale": scale,
-            "dir": sub.name,
+            "dir": name,
             "transmissions": summary["transmissions"],
             "counts": [entry["count"] for entry in summary["sensors"]],
         })
@@ -272,9 +262,7 @@ def cmd_sweep(args):
         "runs": runs,
         "agreement": agreement,
     }
-    text = json.dumps(json_ready(report), indent=2, sort_keys=True) + "\n"
-    with open(out_dir / "sweep.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    dump_json(report, out_dir / "sweep.json")
 
     for entry in runs:
         print(f"scale {entry['scale']:g}: {entry['transmissions']} transmissions "
@@ -287,306 +275,15 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def _check(name, measured, tolerance, passed=None, detail=None):
-    if passed is None:
-        passed = bool(measured <= tolerance)
-    entry = {
-        "name": name,
-        "measured": float(measured),
-        "tolerance": float(tolerance),
-        "pass": bool(passed),
-    }
-    if detail is not None:
-        entry["detail"] = detail
-    return entry
-
-
-def _gap_shortfall(trace, dwells):
-    """Largest amount any sensor's smallest gap falls below its floor."""
-    shortfall = -math.inf
-    for i, dwell in enumerate(dwells):
-        if dwell is None or not np.isfinite(dwell):
-            continue
-        times = [e.time for e in trace.events if e.sensor == i]
-        if len(times) >= 2:
-            shortfall = max(shortfall, float(dwell - np.diff(times).min()))
-    if shortfall == -math.inf:
-        raise SimulationError("no sensor produced two events; cannot check gaps")
-    return shortfall
-
-
-def _family_excess(trace):
-    """Largest excess of a held error over its share of the state norm."""
-    thresholds = np.asarray(trace.meta["thresholds"], dtype=float)
-    finite = np.isfinite(thresholds)
-    errors = np.abs(trace.samples - trace.states)
-    norms = np.linalg.norm(trace.states, axis=1)
-    excess = errors[:, finite] - np.outer(norms, thresholds[finite])
-    return float(excess.max())
-
-
-def _sequence_mismatch(trace_a, trace_b):
-    """Count of positions where two event sequences disagree."""
-    seq_a = [(e.sensor, e.time) for e in trace_a.events]
-    seq_b = [(e.sensor, e.time) for e in trace_b.events]
-    mismatch = sum(1 for a, b in zip(seq_a, seq_b) if a != b)
-    return mismatch + abs(len(seq_a) - len(seq_b))
-
-
-def _matched_event_delta(trace_a, trace_b):
-    """Largest time difference between each sensor's events matched in
-    order, or inf when some sensor's event counts differ."""
-    delta = 0.0
-    for i in range(trace_a.states.shape[1]):
-        times_a = [e.time for e in trace_a.events if e.sensor == i]
-        times_b = [e.time for e in trace_b.events if e.sensor == i]
-        if len(times_a) != len(times_b):
-            return math.inf
-        if times_a:
-            delta = max(delta, float(np.max(np.abs(
-                np.asarray(times_a) - np.asarray(times_b)))))
-    return delta
-
-
-def _riccati_battery(rng, count=100):
-    """Worst relative disagreement of the closed-form crossing time."""
-    worst = 0.0
-    for k in range(count):
-        a0 = float(rng.uniform(0.05, 5.0))
-        a1 = float(rng.uniform(0.05, 5.0))
-        a2 = float(rng.uniform(0.05, 5.0))
-        branch = k % 5
-        if branch == 1:
-            a2 = 0.0
-        elif branch == 2:
-            a1 = 0.0
-        elif branch == 3:
-            a1 = 2.0 * math.sqrt(a0 * a2)
-        elif branch == 4:
-            a1 = float(rng.uniform(2.1, 4.0)) * math.sqrt(a0 * a2)
-        coeffs = RiccatiCoefficients(a0, a1, a2)
-        target = float(rng.uniform(0.01, 0.5))
-        closed = crossing_time(target, coeffs)
-        numeric = crossing_time_numeric(target, coeffs)
-        worst = max(worst, abs(closed - numeric) / numeric)
-    return worst
-
-
-def _random_hurwitz(rng, dim):
-    matrix = rng.normal(size=(dim, dim))
-    shift = 0.1 * float(np.linalg.norm(matrix))
-    candidate = matrix - shift * np.eye(dim)
-    while not is_hurwitz(candidate):
-        shift *= 2.0
-        candidate = matrix - shift * np.eye(dim)
-    return candidate
-
-
-def _lyapunov_battery(rng, count=20):
-    """Worst relative residual of the Lyapunov solver on random plants."""
-    worst = 0.0
-    for _ in range(count):
-        dim = int(rng.integers(2, 5))
-        A = _random_hurwitz(rng, dim)
-        M = rng.normal(size=(dim, dim))
-        Q = M @ M.T + 0.1 * np.eye(dim)
-        P = solve_lyapunov(A, Q)
-        residual = np.linalg.norm(A.T @ P + P @ A + Q) / np.linalg.norm(Q)
-        worst = max(worst, float(residual))
-    return worst
-
-
-def _sphere_battery(rng, count=10):
-    """Worst relative gap between the exact and grid sphere maxima."""
-    worst = 0.0
-    for _ in range(count):
-        M = rng.normal(size=(2, 2))
-        P = M @ M.T + 0.1 * np.eye(2)
-        center = rng.normal(size=2)
-        radius = float(rng.uniform(0.1, 2.0))
-        exact = QuadraticBound(P)(center, radius)
-        grid = max_on_sphere_grid(lambda z: float(z @ P @ z), center, radius)
-        worst = max(worst, abs(exact - grid) / exact)
-    return worst
-
-
-def _summary_roundtrip_mismatch(trace):
-    """0.0 when statistics recomputed from the event file match exactly."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "events.json"
-        write_events_json(trace, path)
-        with open(path, "r", encoding="utf-8") as fh:
-            records = json.load(fh)["events"]
-    recomputed = summary_from_events(records, trace.meta["dwells"])
-    expected = summarize(trace)["sensors"]
-    same = json.dumps(json_ready(recomputed), sort_keys=True) == \
-        json.dumps(json_ready(expected), sort_keys=True)
-    return 0.0 if same else 1.0
-
-
-def _scenario_checks(scenario, include_scale_invariance):
-    """Run the invariant battery for one scenario."""
-    checks = []
-    name = scenario.name
-    design = design_scenario(scenario)
-    is_linear = scenario.certificate is None
-
-    if is_linear:
-        A_cl = scenario.model.A + scenario.model.B @ scenario.model.K
-        residual = np.linalg.norm(A_cl.T @ design.P + design.P @ A_cl + scenario.Q)
-        checks.append(_check(
-            f"{name}.design_residual", residual / np.linalg.norm(scenario.Q),
-            1e-10, detail="Lyapunov equation residual relative to the rate matrix"))
-
-    horizon = min(1.5, float(scenario.horizon))
-    trace = run(scenario, design=design, horizon=horizon)
-    step = trace.meta["step"]
-    checks.append(_check(
-        f"{name}.dwell_enforcement", _gap_shortfall(trace, trace.meta["dwells"]),
-        1e-12, detail="largest shortfall of a transmission gap below its floor"))
-    if is_linear:
-        excess = decay_excess(trace, scenario.sigma, Q=scenario.Q)
-    else:
-        excess = decay_excess(trace, scenario.sigma, q_min=design.q_min)
-    checks.append(_check(
-        f"{name}.certificate_decrease", float(excess.max()),
-        1e-6 * float(trace.lyapunov[0]),
-        detail="largest excess of the certificate rate over its bound"))
-    checks.append(_check(
-        f"{name}.family_membership_step", _family_excess(trace), step,
-        detail="held errors against their share of the state norm at the run step"))
-    half = run(scenario, design=design, horizon=min(0.75, horizon), step=step / 2.0)
-    checks.append(_check(
-        f"{name}.family_membership_halfstep", _family_excess(half), step / 2.0,
-        detail="the same membership check at half the integration step"))
-
-    pair_horizon = min(1.0, float(scenario.horizon))
-    if include_scale_invariance:
-        base = run(scenario, design=design, horizon=pair_horizon)
-        scaled = run(scenario, design=design, horizon=pair_horizon, scale=1e3)
-        checks.append(_check(
-            f"{name}.scale_invariance", _matched_event_delta(base, scaled), step,
-            detail="events under a 1000x initial-condition scale, matched in order"))
-    with_dwell = run(scenario, design=design, horizon=pair_horizon,
-                     mode="centralized")
-    without = run(scenario, design=design, horizon=pair_horizon,
-                  mode="centralized-nodwell")
-    checks.append(_check(
-        f"{name}.centralized_equivalence",
-        float(_sequence_mismatch(with_dwell, without)), 0.0,
-        detail="event positions where the dwell-free variant disagrees"))
-    checks.append(_check(
-        f"{name}.summary_roundtrip", _summary_roundtrip_mismatch(trace), 0.0,
-        detail="statistics recomputed from the emitted event file"))
-
-    forged_dwells = dataclasses.replace(
-        design, config=TriggerConfig(design.config.thresholds,
-                                     design.config.dwells * 0.5))
-    faulty = run(scenario, design=forged_dwells, horizon=pair_horizon)
-    shortfall = _gap_shortfall(faulty, design.config.dwells)
-    checks.append(_check(
-        f"{name}.fault_halved_dwell_detected", shortfall, 1e-12,
-        passed=shortfall > 1e-12,
-        detail="halving the gap floors must produce a detectable violation"))
-
-    forged_thresholds = dataclasses.replace(
-        design, config=TriggerConfig(design.config.thresholds * 2.0,
-                                     design.config.dwells))
-    if is_linear:
-        deviation = float(np.max(np.abs(
-            forged_thresholds.config.thresholds / design.config.thresholds - 1.0)))
-        checks.append(_check(
-            f"{name}.fault_doubled_threshold_detected", deviation, 1e-9,
-            passed=deviation > 1e-9,
-            detail="doubled thresholds must deviate from the derived design"))
-    else:
-        try:
-            run(scenario, design=forged_thresholds, horizon=pair_horizon)
-            detected = 0.0
-        except DesignError:
-            detected = 1.0
-        checks.append(_check(
-            f"{name}.fault_doubled_threshold_detected", detected, 1.0,
-            passed=detected == 1.0,
-            detail="doubled thresholds must be rejected as inadmissible"))
-
-    if scenario.certificate is not None and scenario.lipschitz is not None:
-        checks.extend(_feedback_checks(scenario, design))
-    return checks
-
-
-def _feedback_checks(scenario, design):
-    """Containment and parameter-update invariants in feedback mode."""
-    name = scenario.name
-    schedule = DEFAULT_SCHEDULE
-    trace = run(scenario, design=design, mode="feedback",
-                horizon=min(3.0, float(scenario.horizon)), schedule=schedule)
-    checks = []
-    margins = containment_margins(trace)
-    checks.append(_check(
-        f"{name}.containment_distance", margins["distance_excess"], 1e-6,
-        detail="state distance from the held-sample ball center minus its radius"))
-    checks.append(_check(
-        f"{name}.containment_level", margins["level_excess"], 1e-9,
-        detail="certificate value minus the sampled level in force"))
-    levels = [design.level] + [u.level for u in trace.updates]
-    rises = [b - a for a, b in zip(levels[:-1], levels[1:])]
-    checks.append(_check(
-        f"{name}.update_levels_decrease", max(rises) if rises else -math.inf, 0.0,
-        passed=bool(rises) and max(rises) < 0.0,
-        detail="sampled levels must strictly shrink at every update"))
-    update_times = [0.0] + [u.time for u in trace.updates]
-    gaps = np.diff(update_times)
-    checks.append(_check(
-        f"{name}.update_gaps", float((schedule.dwell - gaps).max()), 1e-12,
-        detail="largest shortfall of an inter-update gap below the update floor"))
-    configs = [design.config] + [u.config for u in trace.updates]
-    drop = max(
-        float((a.thresholds - b.thresholds).max())
-        for a, b in zip(configs[:-1], configs[1:]))
-    checks.append(_check(
-        f"{name}.thresholds_nondecreasing", drop, 1e-12,
-        detail="largest per-sensor threshold drop across consecutive designs"))
-    floor_gap = max(
-        float((design.config.dwells - c.dwells).max()) for c in configs[1:])
-    checks.append(_check(
-        f"{name}.dwell_floor", floor_gap, 1e-12,
-        detail="redesigned gap floors may not fall below the initial design"))
-    return checks
-
-
 def cmd_verify(args):
-    """Run the invariant battery and report the results as JSON."""
-    model = _merged(args, "model")
-    rng = np.random.default_rng(20260819)
-    checks = [
-        _check("riccati.closed_form_vs_numeric", _riccati_battery(rng), 1e-6,
-               detail="closed-form crossing times against adaptive integration"),
-        _check("linalg.lyapunov_residual_random", _lyapunov_battery(rng), 1e-10,
-               detail="Lyapunov solver residuals on random stable plants"),
-        _check("feedback.sphere_max_vs_grid", _sphere_battery(rng), 1e-8,
-               detail="exact sphere maxima against a dense grid search"),
-    ]
-    if model is None:
+    """Run the invariant battery of :mod:`etcontrol.verify` and report the
+    results as JSON; the exit code states whether every check passed."""
+    if _merged(args, "model") is None:
         scenarios = [scenario_by_name(n) for n in SCENARIO_NAMES]
     else:
         scenarios = [_resolve_scenario(args)]
-    for scenario in scenarios:
-        include_scale = scenario.certificate is None
-        checks.extend(_scenario_checks(scenario, include_scale))
-    report = {
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
-    }
-    text = json.dumps(json_ready(report), indent=2, sort_keys=True) + "\n"
-    out = _merged(args, "out")
-    if out is not None:
-        path = Path(out)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    report = verify.report(scenarios)
+    sys.stdout.write(dump_json(report, _merged(args, "out")))
     return EXIT_OK if report["pass"] else EXIT_VALIDATION
 
 

@@ -19,7 +19,7 @@ the closed loop. Model-specific bounds live with their models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,7 +37,7 @@ __all__ = [
     "dwell_times",
     "design_nonlinear",
     "design_lti",
-    "validate_certificate",
+    "lti_threshold_caps",
 ]
 
 
@@ -47,16 +47,14 @@ class LyapunovCertificate:
     sampled-data closed loop.
 
     The certificate asserts a decay inequality whose disturbance terms are
-    the per-sensor ``error_gains`` applied to sampling-error magnitudes.
-    For each level c, ``threshold_bounds(c)[i]`` is the largest admissible
-    error-to-state threshold for sensor i.
+    per-sensor gains applied to sampling-error magnitudes. For each level
+    c, ``threshold_bounds(c)[i]`` is the largest error-to-state threshold
+    for sensor i that keeps those terms within the decay margin.
 
     Attributes
     ----------
     quadratic : ndarray
         Symmetric positive definite matrix P of the certificate.
-    error_gains : tuple of callables
-        Per-sensor gain of the decay inequality's error terms.
     threshold_bounds : callable
         Level c -> array of per-sensor threshold caps.
 
@@ -69,7 +67,6 @@ class LyapunovCertificate:
     """
 
     quadratic: np.ndarray
-    error_gains: tuple
     threshold_bounds: Callable[[float], np.ndarray]
 
     def __post_init__(self):
@@ -82,11 +79,6 @@ class LyapunovCertificate:
         """Certificate value ``x^T P x``."""
         x = np.asarray(x, dtype=float)
         return float(x @ self.quadratic @ x)
-
-    def level_radius(self, c):
-        """State-norm radius ``sqrt(c / lambda_min(P))`` that the sublevel
-        set ``{x : V(x) <= c}`` fits inside."""
-        return float(np.sqrt(c / sym_eig(self.quadratic)[0]))
 
 
 @dataclass(frozen=True)
@@ -151,7 +143,7 @@ class DesignResult:
     P: np.ndarray
     q_min: float
     sigma: float
-    theta: np.ndarray = field(default_factory=lambda: np.array([]))
+    theta: np.ndarray
     level: Optional[float] = None
 
     def to_dict(self):
@@ -272,6 +264,14 @@ def design_nonlinear(cert, lipschitz, level):
     return TriggerConfig(thresholds=w, dwells=T)
 
 
+def lti_threshold_caps(P, B, K, q_min, sigma, theta):
+    """Admissible thresholds ``sigma * theta_i * Q_min / |column_i(2 P B K)|``
+    of an LTI design; ``inf`` where the column is exactly zero."""
+    column_norms = np.linalg.norm(2.0 * P @ B @ K, axis=0)
+    with np.errstate(divide="ignore"):
+        return np.where(column_norms > 0.0, sigma * theta * q_min / column_norms, np.inf)
+
+
 def design_lti(A, B, K, Q, theta, sigma):
     """Trigger design for the LTI closed loop ``x' = (A + BK) x`` under
     zero-order-hold control ``u = K x_s``.
@@ -314,42 +314,10 @@ def design_lti(A, B, K, Q, theta, sigma):
     q_min = float(sym_eig(Q)[0])
     if q_min <= 0.0:
         raise DesignError("Q must be positive definite")
-    G = 2.0 * P @ B @ K
-    column_norms = np.linalg.norm(G, axis=0)
-    with np.errstate(divide="ignore"):
-        w = np.where(column_norms > 0.0, sigma * theta * q_min / column_norms, np.inf)
+    w = lti_threshold_caps(P, B, K, q_min, sigma, theta)
     BK = B @ K
     lip = LipschitzData(spectral_norm(A_cl), spectral_norm(BK),
                         np.linalg.norm(A_cl, axis=1), np.linalg.norm(BK, axis=1))
     config = TriggerConfig(thresholds=w, dwells=dwell_times(w, lip))
     return DesignResult(config=config, P=P, q_min=q_min, sigma=sigma, theta=theta)
 
-
-def validate_certificate(cert, level, rng=None, samples=200):
-    """Spot-check certificate invariants at a level by random sampling.
-
-    Checks that each error gain vanishes at zero, increases strictly on a
-    sampled grid, and stays below ``r / threshold_bounds(level)[i]`` on
-    the admissible error range.
-
-    Raises
-    ------
-    DesignError
-        On the first violated invariant.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    level = float(level)
-    caps = np.asarray(cert.threshold_bounds(level), dtype=float)
-    radius = float(cert.level_radius(level))
-    for i, gain in enumerate(cert.error_gains):
-        if abs(float(gain(0.0))) > 1e-12:
-            raise DesignError(f"error gain {i} does not vanish at zero")
-        grid = np.sort(rng.uniform(0.0, radius, size=samples))
-        vals = np.array([float(gain(r)) for r in grid])
-        if np.any(np.diff(vals) <= 0.0):
-            raise DesignError(f"error gain {i} is not strictly increasing")
-        linear_cap = grid / caps[i]
-        if np.any(vals > linear_cap * (1.0 + 1e-9)):
-            raise DesignError(
-                f"error gain {i} exceeds its linear bound inside the admissible range")

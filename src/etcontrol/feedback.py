@@ -36,12 +36,11 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class ContainmentRecord:
-    """Per-boundary containment data logged by the feedback simulation."""
+    """Per-boundary containment data logged by the feedback simulation: the
+    ball guaranteed to hold the state and the certificate level in force."""
 
-    time: float
     center: np.ndarray
     radius: float
-    value: float
     level: float
 
 

@@ -24,19 +24,19 @@ __all__ = [
 _SYMMETRY_RTOL = 1e-12
 
 
-def _as_matrix(M, name="matrix"):
+def _as_square(M, name):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} has non-finite entries")
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {M.shape}")
     return M
 
 
-def _require_symmetric(M, name="matrix"):
-    M = _as_matrix(M, name)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {M.shape}")
+def _require_symmetric(M, name):
+    M = _as_square(M, name)
     scale = np.linalg.norm(M)
     if np.linalg.norm(M - M.T) > _SYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError(f"{name} is not symmetric within tolerance {_SYMMETRY_RTOL}")
@@ -87,9 +87,7 @@ def spectral_norm(M):
 
 def is_hurwitz(M):
     """Whether every eigenvalue of ``M`` has a strictly negative real part."""
-    M = _as_matrix(M, "is_hurwitz input")
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"is_hurwitz input must be square, got shape {M.shape}")
+    M = _as_square(M, "is_hurwitz input")
     return bool(np.all(np.linalg.eigvals(M).real < 0.0))
 
 
@@ -118,9 +116,7 @@ def solve_lyapunov(A_cl, Q):
         If ``A_cl`` is not Hurwitz or the computed solution fails the
         residual or definiteness checks.
     """
-    A = _as_matrix(A_cl, "A_cl")
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"A_cl must be square, got shape {A.shape}")
+    A = _as_square(A_cl, "A_cl")
     Qs = _require_symmetric(Q, "Q")
     if Qs.shape != A.shape:
         raise ValueError(f"Q shape {Qs.shape} does not match A_cl shape {A.shape}")

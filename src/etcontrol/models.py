@@ -6,9 +6,9 @@ Two fully parameterized case studies ship with the toolkit:
   four states, two inputs, each state measured by its own sensor.
 * ``cubic_oscillator``: a second-order system with a cubic nonlinearity
   cancelled through sampled feedback, two sensors, with a closed-form
-  quadratic certificate. Its threshold caps, certificate error gains and
-  Lipschitz data are all bounds on the operating region of a level c and
-  are defined here, around one cubic error polynomial.
+  quadratic certificate. Its threshold caps and Lipschitz data are bounds
+  on the operating region of a level c and are defined here, around one
+  cubic error polynomial.
 
 Custom LTI scenarios can be loaded from a JSON document via ``load_lti``.
 """
@@ -38,7 +38,6 @@ __all__ = [
     "cubic_oscillator",
     "peak_cubic_gain",
     "lipschitz_bounds_cubic",
-    "cubic_error_injection",
     "load_lti",
     "design_scenario",
     "scenario_by_name",
@@ -165,6 +164,8 @@ CUBIC_Q_MIN = 1.0
 # Frobenius norm differs in the last bit).
 _CUBIC_P_MIN = float(sym_eig(CUBIC_P)[0])
 _CUBIC_GAIN_COLUMN = spectral_norm(2.0 * CUBIC_P @ CUBIC_B)
+# Closed-loop matrix of the nominal (error-free) loop.
+_CUBIC_NOMINAL = np.array([[0.0, 1.0], [CUBIC_K1, -1.0 + CUBIC_K2]])
 
 
 def _cubic_model():
@@ -175,27 +176,6 @@ def _cubic_model():
         return np.array([CUBIC_K1 * x_s[0] + CUBIC_K2 * x_s[1] - x_s[0] ** 3])
 
     return SystemModel(state_dim=2, input_dim=1, f=f, controller=controller)
-
-
-def cubic_error_injection(x, x_e):
-    """Additive error terms of the cubic oscillator's closed loop.
-
-    With sampling error ``x_e`` the closed loop satisfies
-    ``f(x, controller(x + x_e)) = A_cl x + [0, h1 + h2]`` where ``h1``
-    collects the cubic error response of sensor 1 and ``h2 = k2 * x_e[1]``.
-    Returns the vector ``[0, h1 + h2]``.
-    """
-    x = np.asarray(x, dtype=float)
-    x_e = np.asarray(x_e, dtype=float)
-    e1 = x_e[0]
-    h1 = -(e1**3 + 3.0 * x[0] * e1**2 + (3.0 * x[0] ** 2 - CUBIC_K1) * e1)
-    h2 = CUBIC_K2 * x_e[1]
-    return np.array([0.0, h1 + h2])
-
-
-def _cubic_nominal_matrix():
-    """Closed-loop matrix of the cubic oscillator's nominal (error-free) loop."""
-    return np.array([[0.0, 1.0], [CUBIC_K1, -1.0 + CUBIC_K2]])
 
 
 def peak_cubic_gain(mu1, k1):
@@ -255,7 +235,7 @@ def lipschitz_bounds_cubic(level):
     Euclidean sense.
     """
     mu = _cubic_radius(level)
-    row_norms = np.linalg.norm(_cubic_nominal_matrix(), axis=1)
+    row_norms = np.linalg.norm(_CUBIC_NOMINAL, axis=1)
     error_response = float(np.hypot(_cubic_gain(mu, mu), CUBIC_K2))
     return LipschitzData(
         state_gain=float(np.hypot(row_norms[0], row_norms[1])),
@@ -270,19 +250,8 @@ def cubic_oscillator(level=10.0):
     level = float(level)
     if level <= 0.0:
         raise DesignError(f"level must be positive, got {level}")
-    mu1 = _cubic_radius(level)
-
-    def gain_sensor1(r):
-        return _CUBIC_GAIN_COLUMN * _cubic_gain(mu1, r) * r / (
-            CUBIC_SIGMA * CUBIC_THETA[0] * CUBIC_Q_MIN)
-
-    def gain_sensor2(r):
-        return _CUBIC_GAIN_COLUMN * abs(CUBIC_K2) * r / (
-            CUBIC_SIGMA * CUBIC_THETA[1] * CUBIC_Q_MIN)
-
     certificate = LyapunovCertificate(
         quadratic=CUBIC_P.copy(),
-        error_gains=(gain_sensor1, gain_sensor2),
         threshold_bounds=_cubic_threshold_bounds,
     )
     return Scenario(

@@ -113,6 +113,12 @@ def _integrate_to_crossing(w, a0, a1, a2, h, horizon):
         h *= 0.5
 
 
+def _unreached(w, horizon):
+    warnings.warn(f"comparison ODE did not reach level {w} within horizon {horizon}",
+                  RuntimeWarning, stacklevel=3)
+    return math.inf
+
+
 def crossing_time_numeric(level, coeffs, step=None, horizon=1e7):
     """Crossing time by forward RK4 integration; oracle for crossing_time.
 
@@ -166,12 +172,7 @@ def crossing_time_numeric(level, coeffs, step=None, horizon=1e7):
         phi = trial
         hc *= 2.0
         if t > horizon:
-            warnings.warn(
-                f"comparison ODE did not reach level {w} within horizon {horizon}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return math.inf
+            return _unreached(w, horizon)
     # Fine passes at h and h/2 until mutually converged.
     h = min(h, coarse / 400.0)
     previous = _integrate_to_crossing(w, a0, a1, a2, h, horizon)
@@ -183,10 +184,5 @@ def crossing_time_numeric(level, coeffs, step=None, horizon=1e7):
                 return current
         previous = current
     if current is None:
-        warnings.warn(
-            f"comparison ODE did not reach level {w} within horizon {horizon}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return math.inf
+        return _unreached(w, horizon)
     return current

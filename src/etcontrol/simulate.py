@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from .design import lti_threshold_caps
 from .errors import DesignError, SimulationError
 from .feedback import (
     DEFAULT_SCHEDULE,
@@ -53,6 +55,7 @@ __all__ = [
     "write_trace_csv",
     "write_events_json",
     "write_summary_json",
+    "dump_json",
 ]
 
 MODES = ("decentralized", "centralized", "centralized-nodwell", "feedback")
@@ -198,7 +201,10 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
     Raises
     ------
     DesignError
-        When the inputs are inconsistent with the design region.
+        When the inputs are inconsistent with the design region, or the
+        design's thresholds exceed their admissible caps (from the
+        certificate at the design level, or from the design's own P,
+        Q_min, sigma and theta for a linear plant).
     SimulationError
         When the state leaves the representable range or the trigger
         fires at every boundary for an extended stretch.
@@ -242,13 +248,18 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
     if x.shape != (model.state_dim,) or x_s.shape != (model.state_dim,):
         raise DesignError("initial conditions must be state-dimension vectors")
 
-    if cert is not None and level is not None:
+    caps = None
+    if cert is None:
+        caps = lti_threshold_caps(design.P, model.B, model.K, design.q_min,
+                                  design.sigma, design.theta)
+    elif level is not None:
         initial_value = float(cert.value(x))
         if initial_value > level * (1.0 + 1e-12):
             raise DesignError(
                 f"initial certificate value {initial_value:.6g} exceeds the design "
                 f"level {level:.6g}; the guarantees do not cover this start")
         caps = np.asarray(cert.threshold_bounds(level), dtype=float)
+    if caps is not None:
         finite = np.isfinite(config.thresholds)
         if np.any(config.thresholds[finite] > caps[finite] * (1.0 + 1e-9)):
             raise DesignError("trigger thresholds exceed their admissible bounds")
@@ -295,8 +306,7 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
                 level = update.level
                 last_update = t
             containment.append(ContainmentRecord(
-                time=t, center=center, radius=float(radius),
-                value=float(value), level=float(level)))
+                center=center, radius=float(radius), level=float(level)))
         states[k] = x
         samples[k] = x_s
         if k < n_steps:
@@ -417,24 +427,19 @@ def summarize(trace, quantiles=QUANTILES):
     }
 
 
-def decay_excess(trace, sigma, Q=None, q_min=None):
+def decay_excess(trace, sigma, Q):
     """Pointwise excess of the certificate rate over its certified bound.
 
-    The guarantee is ``dV/dt <= -(1 - sigma) m(x)`` with ``m(x) = x^T Q x``
-    when ``Q`` is given and ``m(x) = q_min |x|^2`` otherwise; exactly one
-    of the two must be supplied. The rate is the second-order finite
+    The guarantee is ``dV/dt <= -(1 - sigma) x^T Q x``; a certificate
+    whose error terms are capped at ``sigma Q_min |x|^2`` meets it too,
+    since ``Q_min |x|^2 <= x^T Q x``. The rate is the second-order finite
     difference of the logged certificate values. Returns the array
-    ``dV/dt + (1 - sigma) m(x)``, non-positive wherever the guarantee
+    ``dV/dt + (1 - sigma) x^T Q x``, non-positive wherever the guarantee
     holds.
     """
-    if (Q is None) == (q_min is None):
-        raise ValueError("supply exactly one of Q and q_min")
     rate = np.gradient(trace.lyapunov, trace.times)
-    if Q is not None:
-        margin = np.einsum("ki,ij,kj->k", trace.states, np.asarray(Q, dtype=float),
-                           trace.states)
-    else:
-        margin = float(q_min) * np.sum(trace.states**2, axis=1)
+    margin = np.einsum("ki,ij,kj->k", trace.states, np.asarray(Q, dtype=float),
+                       trace.states)
     return rate + (1.0 - float(sigma)) * margin
 
 
@@ -480,10 +485,17 @@ def json_ready(value):
     return value
 
 
-def _write_json(document, path):
-    text = json.dumps(json_ready(document), indent=2, sort_keys=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+def dump_json(document, path=None):
+    """Strict JSON text of a document: sorted keys, two-space indent and a
+    final newline. When ``path`` is given the text is also written there,
+    creating the parent directory. Returns the text."""
+    text = json.dumps(json_ready(document), indent=2, sort_keys=True) + "\n"
+    if path is not None:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    return text
 
 
 def write_trace_csv(trace, path):
@@ -526,8 +538,7 @@ def write_events_json(trace, path):
     for u in trace.updates:
         records.append({
             "type": "param_update", "t": u.time, "V_sampled": u.level,
-            "w": [float(v) if np.isfinite(v) else None for v in u.config.thresholds],
-            "T": [float(v) if np.isfinite(v) else None for v in u.config.dwells],
+            "w": u.config.thresholds, "T": u.config.dwells,
         })
     records.sort(key=lambda r: (
         r["t"], 0 if r["type"] == "transmission" else 1, r.get("sensor", -1)))
@@ -536,9 +547,9 @@ def write_events_json(trace, path):
         "mode": trace.meta.get("mode"),
         "events": records,
     }
-    _write_json(document, path)
+    dump_json(document, path)
 
 
 def write_summary_json(summary, path):
     """Write a ``summarize`` document (or any JSON-ready dict) to a file."""
-    _write_json(summary, path)
+    dump_json(summary, path)

@@ -162,9 +162,8 @@ def test_criterion_06_certificate_decrease(batch, batch_trace, cubic,
     allowed = 1e-6 * batch_trace.lyapunov[0]
     violations = int(np.count_nonzero(excess > allowed))
     assert violations == 0, f"linear run: {violations} steps beyond tolerance"
-    cubic_scenario, cubic_design = cubic
-    excess = decay_excess(cubic_trace, cubic_scenario.sigma,
-                          q_min=cubic_design.q_min)
+    cubic_scenario, _ = cubic
+    excess = decay_excess(cubic_trace, cubic_scenario.sigma, Q=cubic_scenario.Q)
     allowed = 1e-6 * cubic_trace.lyapunov[0]
     violations = int(np.count_nonzero(excess > allowed))
     assert violations == 0, f"nonlinear run: {violations} steps beyond tolerance"

@@ -1,6 +1,8 @@
 """Command-line interface tests: subcommands, exit codes, artifacts."""
 
+import contextlib
 import filecmp
+import io
 import json
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from etcontrol import cli
+from etcontrol import cli, verify
 from etcontrol.design import design_lti
 from etcontrol.feedback import UpdateSchedule
 from etcontrol.models import BATCH_A, BATCH_B, BATCH_K, design_scenario, \
@@ -241,27 +243,51 @@ class TestSimulateCommand:
             assert set(record) == {"type", "t", "V_sampled", "w", "T"}
 
 
+VERIFY_CHECK_NAMES = [
+    "riccati.closed_form_vs_numeric", "linalg.lyapunov_residual_random",
+    "feedback.sphere_max_vs_grid",
+    *(f"batch_reactor.{check}" for check in (
+        "design_residual dwell_enforcement certificate_decrease "
+        "family_membership_step family_membership_halfstep scale_invariance "
+        "centralized_equivalence summary_roundtrip fault_halved_dwell_detected "
+        "fault_doubled_threshold_detected").split()),
+    *(f"cubic_oscillator.{check}" for check in (
+        "dwell_enforcement certificate_decrease family_membership_step "
+        "family_membership_halfstep centralized_equivalence summary_roundtrip "
+        "fault_halved_dwell_detected fault_doubled_threshold_detected "
+        "containment_distance containment_level update_levels_decrease "
+        "update_gaps thresholds_nondecreasing dwell_floor").split()),
+]
+
+
+@pytest.fixture(scope="module")
+def verify_run(tmp_path_factory):
+    """Exit code, stdout and --out file of one full ``etcontrol verify``."""
+    report_path = tmp_path_factory.mktemp("verify") / "report.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = run_cli(["verify", "--out", str(report_path)])
+    return code, stdout.getvalue(), report_path.read_text()
+
+
 class TestVerifyCommand:
-    def test_report_passes_and_is_machine_readable(self, tmp_path, capsys):
-        report_path = tmp_path / "report.json"
-        assert run_cli(["verify", "--out", str(report_path)]) == 0
-        stdout_report = json.loads(capsys.readouterr().out)
-        file_report = json.loads(report_path.read_text())
+    def test_report_passes_and_is_machine_readable(self, verify_run):
+        code, stdout, file_text = verify_run
+        assert code == 0
+        stdout_report = json.loads(stdout)
+        file_report = json.loads(file_text)
         assert stdout_report == file_report
         assert file_report["pass"] is True
-        checks = file_report["checks"]
-        assert len(checks) >= 25
-        names = [c["name"] for c in checks]
-        assert len(names) == len(set(names))
-        for check in checks:
+        for check in file_report["checks"]:
             assert set(check) >= {"name", "measured", "tolerance", "pass"}
             assert check["pass"] is True
-        assert "batch_reactor.fault_halved_dwell_detected" in names
-        assert "cubic_oscillator.fault_doubled_threshold_detected" in names
-        assert "cubic_oscillator.containment_distance" in names
+
+    def test_check_names_in_order(self, verify_run):
+        report = json.loads(verify_run[1])
+        assert [c["name"] for c in report["checks"]] == VERIFY_CHECK_NAMES
 
     def test_failed_check_gates_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_riccati_battery", lambda rng, count=100: 1.0)
+        monkeypatch.setattr(verify, "_riccati_battery", lambda rng: 1.0)
         assert run_cli(["verify"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is False

@@ -8,8 +8,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from etcontrol.design import LyapunovCertificate, validate_certificate
+from etcontrol import models
+from etcontrol.design import LyapunovCertificate
 from etcontrol.errors import DesignError
+from etcontrol.linalg import sym_eig
 from etcontrol.models import (
     BATCH_A,
     BATCH_B,
@@ -19,7 +21,6 @@ from etcontrol.models import (
     CUBIC_P,
     SCENARIO_NAMES,
     batch_reactor,
-    cubic_error_injection,
     cubic_oscillator,
     design_scenario,
     lipschitz_bounds_cubic,
@@ -41,6 +42,36 @@ REACTOR_EIGS = np.array([
     -3.62577782 + 0.0j,
     -3.89584505 + 0.0j,
 ])
+
+
+def cubic_error_gains(level):
+    """Per-sensor gains of the cubic certificate's error terms at a level,
+    each divided by its sensor's share of the decay margin."""
+    mu1 = models._cubic_radius(level)
+    column = models._CUBIC_GAIN_COLUMN
+    margin = models.CUBIC_SIGMA * models.CUBIC_THETA * models.CUBIC_Q_MIN
+    return (lambda r: column * models._cubic_gain(mu1, r) * r / margin[0],
+            lambda r: column * abs(CUBIC_K2) * r / margin[1])
+
+
+def validate_certificate(cert, level, error_gains):
+    """Raise DesignError unless each error gain vanishes at zero, increases
+    strictly on a random grid over the sublevel set's radius, and stays
+    below ``r / threshold_bounds(level)[i]`` there."""
+    rng = np.random.default_rng(0)
+    caps = np.asarray(cert.threshold_bounds(level), dtype=float)
+    radius = float(np.sqrt(level / sym_eig(cert.quadratic)[0]))
+    for i, gain in enumerate(error_gains):
+        if abs(float(gain(0.0))) > 1e-12:
+            raise DesignError(f"error gain {i} does not vanish at zero")
+        grid = np.sort(rng.uniform(0.0, radius, size=200))
+        vals = np.array([float(gain(r)) for r in grid])
+        if np.any(np.diff(vals) <= 0.0):
+            raise DesignError(f"error gain {i} is not strictly increasing")
+        linear_cap = grid / caps[i]
+        if np.any(vals > linear_cap * (1.0 + 1e-9)):
+            raise DesignError(
+                f"error gain {i} exceeds its linear bound inside the admissible range")
 
 
 class TestBatchReactor:
@@ -86,9 +117,9 @@ class TestCubicOscillator:
 
     def test_certificate_envelopes(self):
         cert = cubic_oscillator().certificate
-        assert cert.level_radius(10.0) == pytest.approx(
+        assert models._cubic_radius(10.0) == pytest.approx(
             math.sqrt(10.0 / CUBIC_PMIN), rel=1e-10)
-        assert len(cert.error_gains) == 2
+        assert len(cubic_error_gains(10.0)) == 2
         npt.assert_array_equal(cert.quadratic, CUBIC_P)
 
     def test_design_matches_frozen_values(self):
@@ -120,7 +151,9 @@ class TestCubicOscillator:
             x = rng.uniform(-3.0, 3.0, size=2)
             e = rng.uniform(-1.0, 1.0, size=2)
             lhs = model.f(x, model.controller(x + e))
-            rhs = NOMINAL_CUBIC @ x + cubic_error_injection(x, e)
+            # Sensor 1's cubic error response plus sensor 2's linear one.
+            h1 = -(e[0]**3 + 3.0 * x[0] * e[0]**2 + (3.0 * x[0] ** 2 - CUBIC_K1) * e[0])
+            rhs = NOMINAL_CUBIC @ x + [0.0, h1 + CUBIC_K2 * e[1]]
             npt.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_controller_cancels_cubic_term(self):
@@ -189,34 +222,31 @@ class TestLipschitzBoundsCubic:
 class TestValidateCertificate:
     def test_cubic_certificate_passes(self):
         scenario = cubic_oscillator()
-        validate_certificate(scenario.certificate, 10.0)
+        validate_certificate(scenario.certificate, 10.0, cubic_error_gains(10.0))
 
     def test_rejects_caps_above_admissible(self):
         cert = cubic_oscillator().certificate
         loose = dataclasses.replace(
             cert, threshold_bounds=lambda c: 2.0 * np.asarray(cert.threshold_bounds(c)))
         with pytest.raises(DesignError, match="linear bound"):
-            validate_certificate(loose, 10.0)
+            validate_certificate(loose, 10.0, cubic_error_gains(10.0))
 
     def test_rejects_flat_error_gain(self):
         cert = cubic_oscillator().certificate
-        flat = dataclasses.replace(
-            cert, error_gains=(lambda r: 0.0, cert.error_gains[1]))
+        flat = (lambda r: 0.0, cubic_error_gains(10.0)[1])
         with pytest.raises(DesignError, match="strictly increasing"):
-            validate_certificate(flat, 10.0)
+            validate_certificate(cert, 10.0, flat)
 
     def test_rejects_offset_error_gain(self):
         cert = cubic_oscillator().certificate
-        offset = dataclasses.replace(
-            cert, error_gains=(lambda r: r + 0.1, cert.error_gains[1]))
+        offset = (lambda r: r + 0.1, cubic_error_gains(10.0)[1])
         with pytest.raises(DesignError, match="vanish"):
-            validate_certificate(offset, 10.0)
+            validate_certificate(cert, 10.0, offset)
 
     def test_rejects_indefinite_quadratic(self):
         cert = cubic_oscillator().certificate
         with pytest.raises(DesignError, match="positive definite"):
-            LyapunovCertificate(np.diag([1.0, -1.0]), cert.error_gains,
-                                cert.threshold_bounds)
+            LyapunovCertificate(np.diag([1.0, -1.0]), cert.threshold_bounds)
         with pytest.raises(ValueError, match="symmetric"):
             dataclasses.replace(cert, quadratic=np.array([[1.0, 0.5], [0.0, 1.0]]))
 

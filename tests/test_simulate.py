@@ -1,5 +1,6 @@
 """Tests for the fixed-step event-triggered simulation engine."""
 
+import dataclasses
 import filecmp
 
 import numpy as np
@@ -178,6 +179,14 @@ class TestRunValidation:
         with pytest.raises(DesignError, match="admissible"):
             run(scenario, design=forged, horizon=0.1)
 
+    def test_lti_thresholds_above_caps_rejected(self):
+        scenario = batch_reactor()
+        base = design_scenario(scenario)
+        forged = dataclasses.replace(base, config=TriggerConfig(
+            2.0 * base.config.thresholds, base.config.dwells))
+        with pytest.raises(DesignError, match="admissible"):
+            run(scenario, design=forged, horizon=0.1)
+
     def test_zeno_configuration_aborts(self):
         with pytest.raises(SimulationError, match="Zeno"):
             run(_zeno_scenario(), mode="centralized-nodwell")
@@ -265,9 +274,9 @@ class TestRunCubic:
     def test_decay_bound_holds_at_two_steps(self, cubic_short):
         scenario, trace = cubic_short
         tol = 1e-6 * trace.lyapunov[0]
-        assert decay_excess(trace, scenario.sigma, q_min=1.0).max() <= tol
+        assert decay_excess(trace, scenario.sigma, Q=scenario.Q).max() <= tol
         halved = run(scenario, horizon=2.0, step=5e-5)
-        assert decay_excess(halved, scenario.sigma, q_min=1.0).max() <= tol
+        assert decay_excess(halved, scenario.sigma, Q=scenario.Q).max() <= tol
 
     def test_both_sensors_transmit(self, cubic_short):
         _, trace = cubic_short
@@ -379,13 +388,6 @@ class TestSummarize:
 
 
 class TestDiagnostics:
-    def test_decay_excess_argument_validation(self, cubic_short):
-        _, trace = cubic_short
-        with pytest.raises(ValueError, match="exactly one"):
-            decay_excess(trace, 0.9)
-        with pytest.raises(ValueError, match="exactly one"):
-            decay_excess(trace, 0.9, Q=np.eye(2), q_min=1.0)
-
     def test_containment_requires_records(self, cubic_short):
         _, trace = cubic_short
         with pytest.raises(ValueError, match="containment"):
