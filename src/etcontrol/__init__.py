@@ -25,19 +25,19 @@ from .errors import DesignError, SimulationError
 from .feedback import UpdateSchedule
 from .models import (Scenario, SystemModel, batch_reactor, cubic_oscillator,
                      design_scenario, load_lti, scenario_by_name)
-from .simulate import (SimulationTrace, TransmissionEvent, containment_margins,
-                       decay_excess, run, summarize, summary_from_events,
-                       write_events_json, write_summary_json, write_trace_csv)
+from .simulate import (SimulationTrace, containment_margins, decay_excess, run,
+                       summarize, summary_from_events, write_events_json,
+                       write_summary_json, write_trace_csv)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DesignError", "DesignResult", "LipschitzData", "LyapunovCertificate",
     "Scenario", "SimulationError", "SimulationTrace", "SystemModel",
-    "TransmissionEvent", "TriggerConfig", "UpdateSchedule", "batch_reactor",
-    "containment_margins", "cubic_oscillator", "decay_excess", "design_lti",
-    "design_nonlinear", "design_scenario", "dwell_times", "load_lti", "run",
-    "scenario_by_name", "summarize", "summary_from_events", "write_events_json",
+    "TriggerConfig", "UpdateSchedule", "batch_reactor", "containment_margins",
+    "cubic_oscillator", "decay_excess", "design_lti", "design_nonlinear",
+    "design_scenario", "dwell_times", "load_lti", "run", "scenario_by_name",
+    "summarize", "summary_from_events", "write_events_json",
     "write_summary_json", "write_trace_csv",
     "__version__",
 ]

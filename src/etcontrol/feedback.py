@@ -20,7 +20,6 @@ from .errors import DesignError
 from .linalg import sym_eig
 
 __all__ = [
-    "ContainmentRecord",
     "ParameterUpdate",
     "QuadraticBound",
     "UpdateSchedule",
@@ -32,16 +31,6 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class ContainmentRecord:
-    """Per-boundary containment data logged by the feedback simulation: the
-    ball guaranteed to hold the state and the certificate level in force."""
-
-    center: np.ndarray
-    radius: float
-    level: float
 
 
 @dataclass(frozen=True)

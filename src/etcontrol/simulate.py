@@ -6,7 +6,9 @@ recomputed from the held samples once per step. Trigger conditions are
 evaluated at every step boundary, including the initial and final
 instants. A firing sensor refreshes its held sample instantaneously, and
 the event carries the boundary timestamp; events are not localized
-inside integration steps (see the trace metadata).
+inside integration steps (see the trace metadata). The transmissions and
+the per-boundary containment data are numpy record arrays, so a sensor's
+event times are ``trace.events.time[trace.events.sensor == i]``.
 
 Four trigger modes are supported:
 
@@ -35,7 +37,6 @@ from .design import lti_threshold_caps
 from .errors import DesignError, SimulationError
 from .feedback import (
     DEFAULT_SCHEDULE,
-    ContainmentRecord,
     QuadraticBound,
     apply_update,
     containment_sphere,
@@ -44,7 +45,6 @@ from .feedback import (
 from .models import design_scenario
 
 __all__ = [
-    "TransmissionEvent",
     "SimulationTrace",
     "rk4_step",
     "transmissions_due",
@@ -68,19 +68,14 @@ QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
 _ZENO_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class TransmissionEvent:
-    """One sensor transmission at a step boundary.
+# Columns of ``SimulationTrace.events``, one row per transmission.
+EVENT_DTYPE = np.dtype([
+    ("sensor", np.int64), ("time", float), ("value", float), ("gap", float)])
 
-    ``gap`` is the time since the same sensor's previous transmission;
-    for a sensor's first transmission it is measured from the virtual
-    baseline one dwell time before the run starts.
-    """
 
-    sensor: int
-    time: float
-    value: float
-    gap: float
+def containment_dtype(dim):
+    """Columns of ``SimulationTrace.containment`` for a ``dim``-state plant."""
+    return np.dtype([("center", float, (dim,)), ("radius", float), ("level", float)])
 
 
 @dataclass
@@ -98,12 +93,19 @@ class SimulationTrace:
         transmissions, shape (n_boundaries, dim).
     lyapunov : ndarray
         Certificate value ``x^T P x`` at each boundary.
-    events : list of TransmissionEvent
-        Transmissions in processing order (time, then sensor index).
+    events : numpy.recarray
+        One row per transmission, ordered by time, then sensor index,
+        with columns ``sensor``, ``time``, ``value`` (the transmitted
+        sample) and ``gap`` (time since the sensor's previous
+        transmission, or for its first one since the virtual baseline
+        one dwell time before the run starts).
     updates : list of ParameterUpdate
         Applied on-line redesigns (feedback mode only).
-    containment : list of ContainmentRecord
-        Per-boundary containment data (feedback mode only).
+    containment : numpy.recarray
+        One row per boundary in feedback mode, zero rows otherwise, with
+        columns ``center`` (shape (n_boundaries, dim)) and ``radius`` of
+        the ball guaranteed to hold the state, and the certificate
+        ``level`` in force.
     meta : dict
         Run parameters and conventions.
     """
@@ -112,9 +114,11 @@ class SimulationTrace:
     states: np.ndarray
     samples: np.ndarray
     lyapunov: np.ndarray
-    events: list = field(default_factory=list)
+    events: np.recarray = field(
+        default_factory=lambda: np.recarray(0, dtype=EVENT_DTYPE))
     updates: list = field(default_factory=list)
-    containment: list = field(default_factory=list)
+    containment: np.recarray = field(
+        default_factory=lambda: np.recarray(0, dtype=containment_dtype(0)))
     meta: dict = field(default_factory=dict)
 
 
@@ -212,8 +216,8 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
     scale = float(scale)
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not (np.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     model = scenario.model
     if design is None:
         design = design_scenario(scenario)
@@ -226,8 +230,8 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
     if not h > 0.0:
         raise ValueError(f"step must be positive, got {h}")
     span = float(horizon) if horizon is not None else float(scenario.horizon)
-    if not span > 0.0:
-        raise ValueError(f"horizon must be positive, got {span}")
+    if not (np.isfinite(span) and span > 0.0):
+        raise ValueError(f"horizon must be positive and finite, got {span}")
     n_steps = int(round(span / h))
     if n_steps < 1:
         raise ValueError("horizon must cover at least one step")
@@ -272,7 +276,8 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
     samples = np.empty_like(states)
     events = []
     updates = []
-    containment = []
+    containment = np.recarray(n_steps + 1 if mode == "feedback" else 0,
+                              dtype=containment_dtype(model.state_dim))
     initial_thresholds = config.thresholds.copy()
     initial_dwells = config.dwells.copy()
     last_transmit = np.where(
@@ -284,8 +289,7 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
         t = float(times[k])
         fired = transmissions_due(t, x, x_s, config, last_transmit, mode)
         for i in fired:
-            events.append(TransmissionEvent(
-                sensor=i, time=t, value=float(x[i]), gap=float(t - last_transmit[i])))
+            events.append((i, t, float(x[i]), float(t - last_transmit[i])))
             x_s[i] = x[i]
             last_transmit[i] = t
         if fired:
@@ -305,8 +309,7 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
                 config = update.config
                 level = update.level
                 last_update = t
-            containment.append(ContainmentRecord(
-                center=center, radius=float(radius), level=float(level)))
+            containment[k] = (center, radius, level)
         states[k] = x
         samples[k] = x_s
         if k < n_steps:
@@ -334,7 +337,8 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
     return SimulationTrace(
         times=times, states=states, samples=samples,
         lyapunov=np.einsum("ki,ij,kj->k", states, P, states),
-        events=events, updates=updates, containment=containment, meta=meta)
+        events=np.array(events, dtype=EVENT_DTYPE).view(np.recarray),
+        updates=updates, containment=containment, meta=meta)
 
 
 def sensor_statistics(times_by_sensor, dwells, quantiles=QUANTILES):
@@ -408,8 +412,8 @@ def summarize(trace, quantiles=QUANTILES):
     """
     dim = trace.states.shape[1]
     dwells = trace.meta.get("dwells", [None] * dim)
-    times_by_sensor = [
-        [e.time for e in trace.events if e.sensor == i] for i in range(dim)]
+    events = trace.events
+    times_by_sensor = [events.time[events.sensor == i] for i in range(dim)]
     sensors = sensor_statistics(times_by_sensor, dwells, quantiles)
     return {
         "scenario": trace.meta.get("scenario"),
@@ -452,15 +456,13 @@ def containment_margins(trace):
     sampled level); non-positive entries mean the corresponding guarantee
     held at every logged boundary.
     """
-    if not trace.containment:
+    balls = trace.containment
+    if balls.size == 0:
         raise ValueError("trace has no containment records")
-    centers = np.array([r.center for r in trace.containment])
-    radii = np.array([r.radius for r in trace.containment])
-    levels = np.array([r.level for r in trace.containment])
-    distances = np.linalg.norm(trace.states - centers, axis=1)
+    distances = np.linalg.norm(trace.states - balls.center, axis=1)
     return {
-        "distance_excess": float((distances - radii).max()),
-        "level_excess": float((trace.lyapunov - levels).max()),
+        "distance_excess": float((distances - balls.radius).max()),
+        "level_excess": float((trace.lyapunov - balls.level).max()),
     }
 
 
@@ -529,12 +531,11 @@ def write_events_json(trace, path):
     at the same boundary are ordered transmissions first, then updates,
     matching processing order.
     """
-    records = []
-    for e in trace.events:
-        records.append({
-            "type": "transmission", "t": e.time, "sensor": e.sensor,
-            "value": e.value, "gap": e.gap,
-        })
+    events = trace.events
+    records = [
+        {"type": "transmission", "t": t, "sensor": i, "value": v, "gap": g}
+        for i, t, v, g in zip(events.sensor.tolist(), events.time.tolist(),
+                              events.value.tolist(), events.gap.tolist())]
     for u in trace.updates:
         records.append({
             "type": "param_update", "t": u.time, "V_sampled": u.level,

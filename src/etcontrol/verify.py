@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .design import TriggerConfig
-from .errors import DesignError, SimulationError
+from .errors import DesignError
 from .feedback import DEFAULT_SCHEDULE, QuadraticBound, max_on_sphere_grid
 from .linalg import is_hurwitz, solve_lyapunov
 from .models import design_scenario
@@ -51,16 +51,17 @@ def _check(name, measured, tolerance, detail, passed=None):
 
 
 def _gap_shortfall(trace, dwells):
-    """Largest amount any sensor's smallest gap falls below its floor."""
+    """Largest amount any sensor's smallest gap falls below its floor;
+    ``-inf`` when no sensor with a finite floor transmits twice, since the
+    floors then hold vacuously."""
+    events = trace.events
     shortfall = -math.inf
     for i, dwell in enumerate(dwells):
         if dwell is None or not np.isfinite(dwell):
             continue
-        times = [e.time for e in trace.events if e.sensor == i]
-        if len(times) >= 2:
+        times = events.time[events.sensor == i]
+        if times.size >= 2:
             shortfall = max(shortfall, float(dwell - np.diff(times).min()))
-    if shortfall == -math.inf:
-        raise SimulationError("no sensor produced two events; cannot check gaps")
     return shortfall
 
 
@@ -81,15 +82,15 @@ def matched_event_delta(trace_a, trace_b):
     Runs emit events in (time, sensor) order, so a delta of 0 means the
     two event sequences are identical.
     """
+    a, b = trace_a.events, trace_b.events
     delta = 0.0
     for i in range(trace_a.states.shape[1]):
-        times_a = [e.time for e in trace_a.events if e.sensor == i]
-        times_b = [e.time for e in trace_b.events if e.sensor == i]
-        if len(times_a) != len(times_b):
+        times_a = a.time[a.sensor == i]
+        times_b = b.time[b.sensor == i]
+        if times_a.size != times_b.size:
             return math.inf
-        if times_a:
-            delta = max(delta, float(np.max(np.abs(
-                np.asarray(times_a) - np.asarray(times_b)))))
+        if times_a.size:
+            delta = max(delta, float(np.abs(times_a - times_b).max()))
     return delta
 
 

@@ -15,7 +15,7 @@ from etcontrol.design import design_lti
 from etcontrol.feedback import UpdateSchedule
 from etcontrol.models import BATCH_A, BATCH_B, BATCH_K, design_scenario, \
     scenario_by_name
-from etcontrol.simulate import SimulationTrace, TransmissionEvent
+from etcontrol.simulate import SimulationTrace
 
 # Threshold of the first cubic-oscillator sensor at level 2.5, frozen
 # from the design path (matches the design-module regression values).
@@ -25,6 +25,13 @@ ZENO_MODEL = {
     "A": [[-1.0]], "B": [[1.0]], "K": [[-1.0]], "Q": [[1.0]],
     "theta": [0.5], "sigma": 1e-6, "x0": [1.0], "xs0": [1.001],
     "horizon": 3.0,
+}
+
+# The batch reactor resting at its equilibrium: no sensor ever transmits.
+RESTING_BATCH_MODEL = {
+    "A": BATCH_A.tolist(), "B": BATCH_B.tolist(), "K": BATCH_K.tolist(),
+    "Q": np.eye(4).tolist(), "theta": [0.6, 0.17, 0.08, 0.15], "sigma": 0.95,
+    "x0": [0.0] * 4, "xs0": [0.0] * 4, "horizon": 0.2,
 }
 
 
@@ -203,6 +210,15 @@ class TestSimulateCommand:
                         "--out", str(out)]) == 2
         assert "Zeno" in capsys.readouterr().err
 
+    def test_nonfinite_horizon_or_scale_is_validation_failure(self, tmp_path,
+                                                               capsys):
+        for flag in ("--horizon", "--scale"):
+            out = tmp_path / flag.lstrip("-")
+            assert run_cli(["simulate", "--model", "batch_reactor", flag, "inf",
+                            "--out", str(out)]) == 1
+            assert "finite" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_unwritable_out_is_io_failure(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
@@ -288,11 +304,25 @@ class TestVerifyCommand:
 
     def test_failed_check_gates_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(verify, "_riccati_battery", lambda rng: 1.0)
+        monkeypatch.setattr(verify, "_scenario_checks", lambda scenario: [])
         assert run_cli(["verify"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is False
         failed = [c for c in report["checks"] if not c["pass"]]
         assert [c["name"] for c in failed] == ["riccati.closed_form_vs_numeric"]
+
+    def test_silent_plant_fails_only_the_fault_check(self, tmp_path, capsys):
+        # With no transmissions the gap floors hold vacuously, and the
+        # halved-floor fault cannot be exercised.
+        model = tmp_path / "plant.json"
+        model.write_text(json.dumps(RESTING_BATCH_MODEL))
+        assert run_cli(["verify", "--model", str(model)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["custom_lti.dwell_enforcement"]["measured"] is None
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert failed == ["custom_lti.fault_halved_dwell_detected"]
 
 
 class TestSweepCommand:
@@ -321,10 +351,12 @@ class TestSweepCommand:
 
         def fake_run(scenario, scale=1.0, **kwargs):
             zeros = np.zeros((5, 2))
+            sensors, times = zip(*orders[scale])
+            events = np.rec.fromarrays([sensors, times, np.zeros(2), times],
+                                       names="sensor,time,value,gap")
             return SimulationTrace(
                 times=np.linspace(0.0, 0.4, 5), states=zeros, samples=zeros,
-                lyapunov=np.zeros(5),
-                events=[TransmissionEvent(i, t, 0.0, t) for i, t in orders[scale]],
+                lyapunov=np.zeros(5), events=events,
                 meta={"scenario": "synthetic", "step": 0.1, "dwells": [0.05, 0.05]})
 
         monkeypatch.setattr(cli, "run", fake_run)

@@ -21,8 +21,8 @@ from etcontrol.models import (
     load_lti,
 )
 from etcontrol.simulate import (
+    EVENT_DTYPE,
     SimulationTrace,
-    TransmissionEvent,
     containment_margins,
     decay_excess,
     rk4_step,
@@ -45,6 +45,16 @@ def batch_short():
 def cubic_short():
     scenario = cubic_oscillator()
     return scenario, run(scenario, horizon=2.0)
+
+
+def _sensor_times(trace, i):
+    return trace.events.time[trace.events.sensor == i]
+
+
+def _synthetic_events(sensors, times):
+    zeros = np.zeros(len(times))
+    return np.rec.fromarrays([sensors, times, zeros, zeros],
+                             names="sensor,time,value,gap")
 
 
 def _zeno_scenario():
@@ -153,6 +163,10 @@ class TestRunValidation:
     def test_bad_scale_step_horizon(self):
         with pytest.raises(ValueError, match="scale"):
             run(batch_reactor(), scale=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            run(batch_reactor(), scale=np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            run(batch_reactor(), horizon=np.inf)
         with pytest.raises(ValueError, match="step"):
             run(batch_reactor(), step=-1e-4)
         with pytest.raises(ValueError, match="horizon"):
@@ -207,14 +221,12 @@ class TestRunBatch:
 
     def test_all_sensors_transmit(self, batch_short):
         _, _, trace = batch_short
-        sensors = {e.sensor for e in trace.events}
-        assert sensors == {0, 1, 2, 3}
+        assert set(trace.events.sensor.tolist()) == {0, 1, 2, 3}
 
     def test_dwell_times_are_enforced(self, batch_short):
         _, design, trace = batch_short
         for i in range(4):
-            times = np.array([e.time for e in trace.events if e.sensor == i])
-            gaps = np.diff(times)
+            gaps = np.diff(_sensor_times(trace, i))
             assert gaps.min() >= design.config.dwells[i] - 1e-12
 
     def test_certificate_decreases(self, batch_short):
@@ -226,26 +238,25 @@ class TestRunBatch:
     def test_first_event_gap_uses_virtual_baseline(self, batch_short):
         _, design, trace = batch_short
         # Sensor 4 starts with a unit error and fires immediately at t=0.
-        first = next(e for e in trace.events if e.sensor == 3)
+        first = trace.events[trace.events.sensor == 3][0]
         assert first.time == 0.0
         assert first.gap == pytest.approx(design.config.dwells[3], rel=1e-12)
 
     def test_events_are_chronological(self, batch_short):
         _, _, trace = batch_short
-        times = [e.time for e in trace.events]
-        assert times == sorted(times)
+        assert np.all(np.diff(trace.events.time) >= 0.0)
 
     def test_scale_invariance(self):
         a = run(batch_reactor(), horizon=1.0)
         b = run(batch_reactor(), horizon=1.0, scale=1e3)
-        assert [(e.sensor, e.time) for e in a.events] == \
-               [(e.sensor, e.time) for e in b.events]
+        npt.assert_array_equal(a.events.sensor, b.events.sensor)
+        npt.assert_array_equal(a.events.time, b.events.time)
 
     def test_centralized_dwell_is_redundant(self):
         with_dwell = run(batch_reactor(), mode="centralized", horizon=1.0)
         without = run(batch_reactor(), mode="centralized-nodwell", horizon=1.0)
-        assert [(e.sensor, e.time) for e in with_dwell.events] == \
-               [(e.sensor, e.time) for e in without.events]
+        npt.assert_array_equal(with_dwell.events.sensor, without.events.sensor)
+        npt.assert_array_equal(with_dwell.events.time, without.events.time)
 
     def test_halved_dwells_break_the_gap_floor(self, batch_short):
         # Fault injection: a config with halved dwell times must produce a
@@ -259,10 +270,46 @@ class TestRunBatch:
         trace = run(scenario, design=faulty, horizon=1.0)
         violated = False
         for i in range(4):
-            times = np.array([e.time for e in trace.events if e.sensor == i])
+            times = _sensor_times(trace, i)
             if times.size >= 2 and np.diff(times).min() < design.config.dwells[i] - 1e-12:
                 violated = True
         assert violated
+
+
+class TestTraceColumns:
+    def test_record_array_contract(self, batch_short, fb):
+        _, _, trace = batch_short
+        _, fb_trace = fb
+        events = trace.events
+        assert isinstance(events, np.recarray)
+        assert events.dtype == EVENT_DTYPE
+        assert [(name, events.dtype[name]) for name in events.dtype.names] == [
+            ("sensor", np.dtype(np.int64)), ("time", np.dtype(float)),
+            ("value", np.dtype(float)), ("gap", np.dtype(float))]
+        balls = fb_trace.containment
+        assert isinstance(balls, np.recarray)
+        assert [(name, balls.dtype[name]) for name in balls.dtype.names] == [
+            ("center", np.dtype((float, (2,)))), ("radius", np.dtype(float)),
+            ("level", np.dtype(float))]
+        assert len(balls) == fb_trace.times.size
+        assert balls.center.shape == (fb_trace.times.size, 2)
+        assert len(trace.containment) == 0
+
+    def test_events_sorted_by_time_then_sensor(self, batch_short):
+        _, _, trace = batch_short
+        events = trace.events
+        order = np.lexsort((events.sensor, events.time))
+        npt.assert_array_equal(order, np.arange(len(events)))
+
+    def test_gap_and_value_columns(self, batch_short):
+        _, _, trace = batch_short
+        events = trace.events
+        for i in range(4):
+            rows = events.sensor == i
+            npt.assert_array_equal(events.gap[rows][1:], np.diff(events.time[rows]))
+        boundary = np.searchsorted(trace.times, events.time)
+        npt.assert_array_equal(trace.times[boundary], events.time)
+        npt.assert_array_equal(events.value, trace.states[boundary, events.sensor])
 
 
 class TestRunCubic:
@@ -333,7 +380,7 @@ class TestRunFeedback:
         dwells = [design_scenario(scenario).config.dwells] + \
                  [u.config.dwells for u in trace.updates]
         for i in range(2):
-            times = np.array([e.time for e in trace.events if e.sensor == i])
+            times = _sensor_times(trace, i)
             for prev, cur in zip(times, times[1:]):
                 active = max(
                     (j for j, ct in enumerate(config_times) if ct <= cur),
@@ -345,8 +392,7 @@ class TestSummarize:
     def test_synthetic_gap_statistics(self):
         times = np.linspace(0.0, 6.0, 7)
         zeros = np.zeros((7, 2))
-        events = [TransmissionEvent(0, t, 0.0, 0.0) for t in (0.0, 1.0, 3.0, 6.0)]
-        events.append(TransmissionEvent(1, 2.0, 0.0, 0.5))
+        events = _synthetic_events([0, 0, 1, 0, 0], [0.0, 1.0, 2.0, 3.0, 6.0])
         trace = SimulationTrace(
             times=times, states=zeros, samples=zeros, lyapunov=np.zeros(7),
             events=events, meta={"scenario": "synthetic", "mode": "decentralized",
@@ -368,7 +414,7 @@ class TestSummarize:
     def test_quantile_validation_and_override(self):
         times = np.linspace(0.0, 3.0, 4)
         zeros = np.zeros((4, 1))
-        events = [TransmissionEvent(0, t, 0.0, 0.0) for t in (0.0, 1.0, 3.0)]
+        events = _synthetic_events([0, 0, 0], [0.0, 1.0, 3.0])
         trace = SimulationTrace(
             times=times, states=zeros, samples=zeros, lyapunov=np.zeros(4),
             events=events, meta={"scenario": "synthetic", "mode": "decentralized",
@@ -452,6 +498,6 @@ class TestWriters:
             "xs0": [0.0, 0.0, 0.0, 0.0], "horizon": 0.5,
         })
         trace = run(scenario)
-        assert trace.events == []
+        assert trace.events.size == 0
         npt.assert_array_equal(trace.states, 0.0)
         npt.assert_array_equal(trace.lyapunov, 0.0)
