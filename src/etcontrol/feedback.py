@@ -3,10 +3,13 @@
 Between transmissions every sensor keeps its sampling error below its
 threshold, so the true state is confined to a ball computed from the
 current samples alone. Maximizing the certificate over that ball yields
-a guaranteed bound on the certificate level; once the bound has decayed
-by a prescribed factor (and a minimum time has passed since the last
-update), thresholds and dwell times are redesigned at the smaller level,
-relaxing the triggers as the state approaches the origin.
+a guaranteed bound on the certificate level. The ball depends only on
+the samples and the aggregate threshold, so it changes only at a
+transmission or an update, and the bound is solved once per distinct
+ball. Once the bound has decayed by a prescribed factor (and a minimum
+time has passed since the last update), thresholds and dwell times are
+redesigned at the smaller level, relaxing the triggers as the state
+approaches the origin.
 """
 
 from __future__ import annotations
@@ -109,8 +112,10 @@ class QuadraticBound:
     """Repeated exact sphere maximization of one fixed quadratic form.
 
     Caches the eigendecomposition of P so that each ball query costs only
-    a scalar secular solve; the feedback simulation issues one query per
-    step boundary against the same certificate matrix.
+    a scalar secular solve, and remembers the last query and its answer.
+    The feedback simulation asks at every step boundary, but the ball
+    changes only at a transmission or an update, so the secular equation
+    is solved once per distinct ball.
     """
 
     def __init__(self, P):
@@ -121,6 +126,8 @@ class QuadraticBound:
         self._lam_max = float(vals[-1])
         scale = float(np.max(np.abs(vals)))
         self._top = vals >= self._lam_max - 1e-12 * max(scale, 1e-300)
+        self._last_query = None  # (center bytes, radius)
+        self._last_value = None
 
     def __call__(self, center, radius):
         """Maximum of ``x^T P x`` over the ball ``|x - center| <= radius``.
@@ -133,11 +140,21 @@ class QuadraticBound:
         in the top eigenspace and the pinned components stay inside the
         ball (the hard case), the solution instead gains a free component
         along a top eigenvector that spends the remaining radius.
+
+        A query equal to the previous one, bit for bit, returns the stored
+        answer without solving again.
         """
         c = np.asarray(center, dtype=float)
         radius = float(radius)
         if radius < 0.0:
             raise ValueError(f"radius must be non-negative, got {radius}")
+        query = (c.tobytes(), radius)
+        if query != self._last_query:
+            self._last_value = self._maximize(c, radius)
+            self._last_query = query
+        return self._last_value
+
+    def _maximize(self, c, radius):
         base_value = float(c @ self.P @ c)
         if radius == 0.0:
             return base_value

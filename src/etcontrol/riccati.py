@@ -6,17 +6,26 @@ non-negative coefficients. The minimum dwell time of a sensor is the time
 this solution needs to climb to its error-to-state threshold. Separation
 of variables gives the crossing time as ``integral 0..w of
 dphi / (a0 + a1 phi + a2 phi^2)``, evaluated here by one closed form,
-written so that no branch subtracts nearly equal quantities. A forward
-integrator, ``crossing_time_numeric``, serves as an independent oracle.
+written so that no branch subtracts nearly equal quantities. Level and
+time are first rescaled by powers of two, which keeps the closed form in
+the float range unless the rate terms differ by more than about 1e150;
+those are evaluated in decimal arithmetic. A forward integrator,
+``crossing_time_numeric``, serves as an independent oracle.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import warnings
 from dataclasses import dataclass
 
 __all__ = ["RiccatiCoefficients", "crossing_time", "crossing_time_numeric"]
+
+# A scaled coefficient at least 2^-500 keeps every product of the closed
+# form in the normal float range; wider spreads go to decimal arithmetic.
+_SMALLEST_EXPONENT = -499
+_WIDE = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 @dataclass(frozen=True)
@@ -55,8 +64,9 @@ def crossing_time(level, coeffs):
     Returns
     -------
     float
-        The unique t >= 0 with phi(t) = level; 0 when level is 0, and
-        ``math.inf`` when the flow never leaves zero (a0 = 0).
+        The unique t >= 0 with phi(t) = level, rounded to a float; 0 when
+        level is 0, and ``math.inf`` when the flow never leaves zero
+        (a0 = 0) or the exact time exceeds the largest float.
     """
     w = _validate_level(level)
     a0, a1, a2 = coeffs.a0, coeffs.a1, coeffs.a2
@@ -64,6 +74,30 @@ def crossing_time(level, coeffs):
         return 0.0
     if a0 == 0.0:
         return math.inf
+    # With w = m 2^p, measure the level in units of 2^p and time in units
+    # of 2^q. The ODE becomes psi' = b0 + b1 psi + b2 psi^2 with
+    # b0 = a0 2^(q-p), b1 = a1 2^q and b2 = a2 2^(q+p), and q puts the
+    # largest b in [1/2, 1). Powers of two scale every intermediate of the
+    # closed form exactly, so the result is bit for bit the unscaled one
+    # wherever that one stays in the float range. e0, e1 and e2 are the
+    # binary exponents of a0 / w, a1 and a2 w; a zero coefficient repeats
+    # a0's.
+    m, p = math.frexp(w)
+    e0 = math.frexp(a0)[1] - p
+    e1 = math.frexp(a1)[1] if a1 > 0.0 else e0
+    e2 = math.frexp(a2)[1] + p if a2 > 0.0 else e0
+    q = -max(e0, e1, e2)
+    if min(e0, e1, e2) + q < _SMALLEST_EXPONENT:
+        return _closed_form_wide(w, a0, a1, a2)
+    t = _closed_form(m, math.ldexp(a0, q - p), math.ldexp(a1, q), math.ldexp(a2, q + p))
+    try:
+        return math.ldexp(t, q)
+    except OverflowError:
+        return math.inf
+
+
+def _closed_form(w, a0, a1, a2):
+    """The crossing-time integral in closed form, for a0 > 0 and w > 0."""
     # With D = a1^2 - 4 a0 a2, d = 2 a0 + a1 w and s = sqrt|D|, the
     # integral is log((d + s w) / (d - s w)) / s for D > 0 and
     # 2 atan(s w / d) / s for D < 0; both tend to 2 w / d as D -> 0.
@@ -80,6 +114,33 @@ def crossing_time(level, coeffs):
     if disc < 0.0:
         return 2.0 * math.atan2(s * w, d) / s
     return 2.0 * w / d
+
+
+def _closed_form_wide(w, a0, a1, a2):
+    """``_closed_form`` in 60-digit decimals with an unbounded exponent.
+
+    For coefficients whose rate terms differ by more than about 1e150,
+    where no single power-of-two scaling keeps the float products normal.
+    """
+    with decimal.localcontext(_WIDE):
+        w, a0, a1, a2 = (decimal.Decimal(v) for v in (w, a0, a1, a2))
+        disc = a1 * a1 - 4 * a0 * a2
+        d = 2 * a0 + a1 * w
+        s = abs(disc).sqrt()
+        tiny = decimal.Decimal("1e-30")
+        if disc > 0:
+            r = s * w
+            g = 4 * a0 * (a0 + a1 * w + a2 * w * w) / (d + r)
+            x = 2 * r / g
+            # log1p(x) = x - x^2/2 + O(x^3), exact to 60 digits below tiny.
+            return float((x * (1 - x / 2) if x < tiny else (1 + x).ln()) / s)
+        if disc < 0:
+            # atan(y) = y - y^3/3 + ... below tiny and pi/2 - 1/y + ...
+            # above 1/tiny; in between a float atan is accurate.
+            y = min(s * w / d, 1 / tiny)
+            angle = y if y < tiny else decimal.Decimal(math.atan(float(y)))
+            return float(2 * angle / s)
+        return float(2 * w / d)
 
 
 def _rk4_trial(phi, h, a0, a1, a2):

@@ -284,6 +284,7 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
         np.isfinite(config.dwells), -config.dwells, -np.inf)
     last_update = 0.0
     consecutive_firing = 0
+    W = config.threshold_norm
 
     for k in range(n_steps + 1):
         t = float(times[k])
@@ -301,12 +302,13 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
         else:
             consecutive_firing = 0
         if mode == "feedback":
-            center, radius = containment_sphere(x_s, config.threshold_norm)
+            center, radius = containment_sphere(x_s, W)
             value = bound(center, radius)
             if value > 0.0 and update_due(schedule, t, last_update, value, level):
                 update = apply_update(cert, lip, value, t, level)
                 updates.append(update)
                 config = update.config
+                W = config.threshold_norm
                 level = update.level
                 last_update = t
             containment[k] = (center, radius, level)

@@ -107,6 +107,42 @@ class TestMaxQuadraticOnSphere:
         with pytest.raises(ValueError, match="radius"):
             QuadraticBound(np.eye(2))([0.0, 0.0], -1.0)
 
+    def test_repeated_queries_match_fresh_solves(self):
+        P = np.diag([1.0, 4.0])
+        c = np.array([0.3, -0.7])
+        nudged = c.copy()
+        nudged[-1] = np.nextafter(nudged[-1], np.inf)
+        hard = (np.array([1.0, 0.0]), 0.5)
+        queries = [
+            (c, 1.1), (c, 1.1), hard, hard, (c, 1.1), (c, 0.0), (c, 0.0),
+            (nudged, 0.0), (nudged, 0.0), (c, 0.0), (nudged, 1.1),
+            (c, np.nextafter(1.1, 2.0)), hard, (c, 1.1),
+        ]
+        # The last-bit center change must not be served from the memo.
+        assert QuadraticBound(P)(nudged, 0.0) != QuadraticBound(P)(c, 0.0)
+        bound = QuadraticBound(P)
+        solves = []
+        solve = bound._maximize
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        bound._maximize = counted
+        for center, radius in queries:
+            assert bound(center, radius) == QuadraticBound(P)(center, radius)
+        distinct = sum(1 for a, b in zip(queries, queries[1:])
+                       if a[0].tobytes() != b[0].tobytes() or a[1] != b[1])
+        assert len(solves) == 1 + distinct
+
+    def test_negative_radius_raises_after_cached_query(self):
+        bound = QuadraticBound(np.eye(2))
+        bound([1.0, 2.0], 0.5)
+        bound([1.0, 2.0], 0.5)
+        with pytest.raises(ValueError, match="radius"):
+            bound([1.0, 2.0], -1.0)
+        assert bound([1.0, 2.0], 0.5) == QuadraticBound(np.eye(2))([1.0, 2.0], 0.5)
+
     def test_rotation_invariance(self):
         rng = np.random.default_rng(19)
         P = np.diag([3.0, 1.0, 0.5])

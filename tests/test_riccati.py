@@ -11,11 +11,23 @@ import warnings
 import numpy as np
 import pytest
 
-from etcontrol.riccati import RiccatiCoefficients, crossing_time, crossing_time_numeric
+from etcontrol.riccati import (
+    RiccatiCoefficients,
+    _closed_form,
+    crossing_time,
+    crossing_time_numeric,
+)
 
 # Frozen regression values, independently computed from the integral form.
 TIME_MIXED_DISTINCT = 0.04652001563489291  # w=0.1, (2, 3, 1): log((11/10)*2 / (21/10))
 TIME_MIXED_COMPLEX = 0.18033751700125764  # w=0.2, (1, 1, 1): arctan branch
+
+# Exact integrals at coefficients far from 1, evaluated once in 60-digit
+# arithmetic from the factored integrand and rounded to the nearest float.
+TIME_TINY_LINEAR = 6.931471805599453e+169  # w=1, (1e-170, 1e-170, 0): ln 2 / a1
+TIME_HUGE_A1 = 4.6051701859880914e-198  # w=1, (1, 1e200, 1): ~log1p(1e200) / 1e200
+TIME_WIDE_SPREAD = 1.0822149937072015e-157  # w=1e10, (1e-300, 1e160, 1)
+TIME_WIDE_COMPLEX = 1.2091995761561452e+150  # w=1, (1e-300, 1e-150, 1): arctan branch
 
 
 def coeffs(a0, a1, a2):
@@ -101,6 +113,38 @@ class TestClosedForm:
 
     def test_positive_for_positive_level(self):
         assert crossing_time(1e-9, coeffs(5.0, 1.0, 1.0)) > 0.0
+
+
+class TestFloatRange:
+    def test_tiny_coefficients(self):
+        # a1 * a1 underflows to 0 without scaling, giving 2 w / d, 4% off.
+        assert crossing_time(1.0, coeffs(1e-170, 1e-170, 0.0)) == pytest.approx(
+            TIME_TINY_LINEAR, rel=1e-15)
+
+    def test_huge_linear_coefficient(self):
+        # a1 * a1 overflows to inf without scaling, and g divides by zero.
+        assert crossing_time(1.0, coeffs(1.0, 1e200, 1.0)) == pytest.approx(
+            TIME_HUGE_A1, rel=1e-15)
+
+    def test_spread_beyond_one_scaling(self):
+        # Scaled so that a1 is near 1, a0 falls below the float range.
+        assert crossing_time(1e10, coeffs(1e-300, 1e160, 1.0)) == pytest.approx(
+            TIME_WIDE_SPREAD, rel=1e-15)
+        assert crossing_time(1.0, coeffs(1e-300, 1e-150, 1.0)) == pytest.approx(
+            TIME_WIDE_COMPLEX, rel=1e-15)
+
+    def test_time_beyond_largest_float_is_inf(self):
+        # w / a0 = 1e600 s, which rounds to inf.
+        assert crossing_time(1e300, coeffs(1e-300, 0.0, 0.0)) == math.inf
+
+    def test_scaling_is_exact_in_range(self):
+        # Power-of-two scaling must not move a single bit of in-range results.
+        rng = np.random.default_rng(41)
+        for _ in range(500):
+            a = 10.0 ** rng.uniform(-6.0, 6.0, size=3)
+            a[1:][rng.uniform(size=2) < 0.15] = 0.0
+            w = 10.0 ** rng.uniform(-6.0, 3.0)
+            assert crossing_time(w, coeffs(*a)) == _closed_form(w, *a)
 
 
 class TestMonotonicity:

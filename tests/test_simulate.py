@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from etcontrol.design import DesignResult, TriggerConfig
 from etcontrol.errors import DesignError, SimulationError
-from etcontrol.feedback import UpdateSchedule
+from etcontrol.feedback import QuadraticBound, UpdateSchedule
 from etcontrol.models import (
     BATCH_A,
     BATCH_B,
@@ -366,6 +366,19 @@ class TestRunFeedback:
         margins = containment_margins(trace)
         assert margins["distance_excess"] <= 1e-6
         assert margins["level_excess"] <= 1e-9
+
+    def test_update_levels_are_the_bound_at_their_boundary(self, fb):
+        scenario, trace = fb
+        balls = trace.containment
+        for update in trace.updates:
+            k = int(np.searchsorted(trace.times, update.time))
+            assert trace.times[k] == update.time
+            fresh = QuadraticBound(scenario.certificate.quadratic)
+            assert update.level == fresh(balls.center[k], balls.radius[k])
+            assert balls.level[k] == update.level
+        margins = containment_margins(trace)
+        assert margins["distance_excess"] <= 0.0
+        assert margins["level_excess"] <= 0.0
 
     def test_default_step_is_feedback_step(self, fb):
         scenario, trace = fb
