@@ -113,11 +113,12 @@ def _lti_model(A, B, K):
     B = np.asarray(B, dtype=float)
     K = np.asarray(K, dtype=float)
 
+    # ``dot`` reaches the same BLAS product as ``@`` with less call overhead.
     def f(x, u):
-        return A @ x + B @ u
+        return A.dot(x) + B.dot(u)
 
     def controller(x_s):
-        return K @ x_s
+        return K.dot(x_s)
 
     return SystemModel(
         state_dim=A.shape[0],

@@ -28,6 +28,7 @@ Four trigger modes are supported:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,6 +67,10 @@ QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
 # Consecutive firing boundaries tolerated before the run is aborted as
 # effectively Zeno (transmitting at every opportunity).
 _ZENO_LIMIT = 10_000
+
+# Rows per ``write_trace_csv`` block: enough to amortize the numpy calls,
+# few enough that a block's Python floats stay well under a megabyte.
+_CSV_BLOCK = 1024
 
 
 # Columns of ``SimulationTrace.events``, one row per transmission.
@@ -150,23 +155,25 @@ def transmissions_due(time, state, samples, config, last_transmit, mode="decentr
     list of int
         Indices of firing sensors, ascending.
     """
-    w = config.thresholds
-    T = config.dwells
     centralized = mode.startswith("centralized")
     reference = float(np.linalg.norm(state)) if centralized else 0.0
     dwell_active = mode != "centralized-nodwell"
     fired = []
-    for i in range(w.size):
-        wi = w[i]
-        if not np.isfinite(wi):
+    # Python floats: indexing numpy scalars costs more than the arithmetic.
+    # An infinite dwell gives a NaN baseline (-inf + inf), so such a sensor
+    # may fire once and never after.
+    rows = zip(config.thresholds.tolist(), config.dwells.tolist(), state.tolist(),
+               samples.tolist(), last_transmit.tolist())
+    for i, (wi, Ti, xi, si, last) in enumerate(rows):
+        if not math.isfinite(wi):
             continue
-        error = abs(float(samples[i]) - float(state[i]))
+        error = abs(si - xi)
         if error == 0.0:
             continue
-        ref = reference if centralized else abs(float(state[i]))
+        ref = reference if centralized else abs(xi)
         if error < wi * ref:
             continue
-        if dwell_active and time < last_transmit[i] + T[i]:
+        if dwell_active and time < last + Ti:
             continue
         fired.append(i)
     return fired
@@ -285,6 +292,7 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
     last_update = 0.0
     consecutive_firing = 0
     W = config.threshold_norm
+    ball_stale = True
 
     for k in range(n_steps + 1):
         t = float(times[k])
@@ -302,13 +310,18 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
         else:
             consecutive_firing = 0
         if mode == "feedback":
-            center, radius = containment_sphere(x_s, W)
+            # The ball depends only on the samples and W, so it changes only
+            # after a transmission or an update.
+            if fired or ball_stale:
+                center, radius = containment_sphere(x_s, W)
+                ball_stale = False
             value = bound(center, radius)
             if value > 0.0 and update_due(schedule, t, last_update, value, level):
                 update = apply_update(cert, lip, value, t, level)
                 updates.append(update)
                 config = update.config
                 W = config.threshold_norm
+                ball_stale = True
                 level = update.level
                 last_update = t
             containment[k] = (center, radius, level)
@@ -317,7 +330,7 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
         if k < n_steps:
             control = model.controller(x_s)
             x = rk4_step(model.f, x, control, h)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise SimulationError(
                     f"state became non-finite at t={float(times[k + 1]):.6g}")
 
@@ -515,13 +528,14 @@ def write_trace_csv(trace, path):
     header += [f"x{i + 1}" for i in range(dim)]
     header += [f"xs{i + 1}" for i in range(dim)]
     header += ["V", "Vdot"]
-    rate = np.gradient(trace.lyapunov, trace.times)
+    columns = (trace.times, trace.states, trace.samples, trace.lyapunov,
+               np.gradient(trace.lyapunov, trace.times))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(trace.times.size):
-            row = [trace.times[k], *trace.states[k], *trace.samples[k],
-                   trace.lyapunov[k], rate[k]]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for start in range(0, trace.times.size, _CSV_BLOCK):
+            block = np.column_stack(
+                [c[start:start + _CSV_BLOCK] for c in columns]).tolist()
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in block)
 
 
 def write_events_json(trace, path):

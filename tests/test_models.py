@@ -110,6 +110,33 @@ class TestBatchReactor:
         assert result.sigma == 0.95
 
 
+def _random_lti_document(rng, n):
+    m = int(rng.integers(1, n + 1))
+    x0 = rng.normal(size=n)
+    return {
+        "A": rng.normal(size=(n, n)).tolist(),
+        "B": rng.normal(size=(n, m)).tolist(),
+        "K": rng.normal(size=(m, n)).tolist(),
+        "Q": np.eye(n).tolist(), "theta": np.full(n, 1.0 / n).tolist(),
+        "sigma": 0.5, "x0": x0.tolist(), "xs0": x0.tolist(), "horizon": 1.0,
+    }
+
+
+@pytest.mark.parametrize("n", [None, *range(2, 11)],
+                         ids=lambda n: "batch_reactor" if n is None else f"n{n}")
+def test_lti_callbacks_equal_matrix_products_bitwise(n):
+    rng = np.random.default_rng(0 if n is None else n)
+    scenario = batch_reactor() if n is None else load_lti(_random_lti_document(rng, n))
+    model = scenario.model
+    for _ in range(200):
+        scale = 10.0 ** rng.integers(-8, 9)
+        x = scale * rng.normal(size=model.state_dim)
+        xs = x + scale * rng.normal(scale=0.1, size=model.state_dim)
+        u = model.controller(xs)
+        npt.assert_array_equal(u, model.K @ xs)
+        npt.assert_array_equal(model.f(x, u), model.A @ x + model.B @ u)
+
+
 class TestCubicOscillator:
     def test_certificate_value_at_initial_state(self):
         scenario = cubic_oscillator()

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from etcontrol.design import DesignResult, TriggerConfig
 from etcontrol.errors import DesignError, SimulationError
-from etcontrol.feedback import QuadraticBound, UpdateSchedule
+from etcontrol.feedback import QuadraticBound, UpdateSchedule, containment_sphere
 from etcontrol.models import (
     BATCH_A,
     BATCH_B,
@@ -55,6 +55,49 @@ def _synthetic_events(sensors, times):
     zeros = np.zeros(len(times))
     return np.rec.fromarrays([sensors, times, zeros, zeros],
                              names="sensor,time,value,gap")
+
+
+def _transmissions_due_loop(time, state, samples, config, last_transmit,
+                            mode="decentralized"):
+    """Reference for ``transmissions_due``: the per-sensor loop over numpy
+    scalars it replaced. An infinite dwell makes numpy warn on the
+    ``-inf + inf`` baseline; callers silence that with ``np.errstate``."""
+    w = config.thresholds
+    T = config.dwells
+    centralized = mode.startswith("centralized")
+    reference = float(np.linalg.norm(state)) if centralized else 0.0
+    dwell_active = mode != "centralized-nodwell"
+    fired = []
+    for i in range(w.size):
+        wi = w[i]
+        if not np.isfinite(wi):
+            continue
+        error = abs(float(samples[i]) - float(state[i]))
+        if error == 0.0:
+            continue
+        ref = reference if centralized else abs(float(state[i]))
+        if error < wi * ref:
+            continue
+        if dwell_active and time < last_transmit[i] + T[i]:
+            continue
+        fired.append(i)
+    return fired
+
+
+def _write_trace_csv_rows(trace, path):
+    """Reference for ``write_trace_csv``: one ``repr`` per value, row by row."""
+    dim = trace.states.shape[1]
+    header = ["t"]
+    header += [f"x{i + 1}" for i in range(dim)]
+    header += [f"xs{i + 1}" for i in range(dim)]
+    header += ["V", "Vdot"]
+    rate = np.gradient(trace.lyapunov, trace.times)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for k in range(trace.times.size):
+            row = [trace.times[k], *trace.states[k], *trace.samples[k],
+                   trace.lyapunov[k], rate[k]]
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _zeno_scenario():
@@ -153,6 +196,88 @@ class TestTransmissionsDue:
         assert transmissions_due(0.0, state, samples, config, last) == [0]
         assert transmissions_due(
             0.0, state, samples, config, last, mode="centralized") == []
+
+
+STATIC_MODES = ("decentralized", "centralized", "centralized-nodwell")
+
+
+def _trigger_inputs(rng, mode):
+    """Random inputs of one trigger evaluation, seeded with edge cases.
+
+    Each sensor draws a case: 0 plain, 1 infinite threshold, 2 zero
+    error, 3 zero state component, 4 an exact error tie with its threshold
+    times the reference, 5 an exact dwell tie. One draw in twenty zeroes
+    the whole state, so the centralized reference vanishes too. The dyadic
+    values of cases 4 and 5 make the ties exact in floating point.
+    """
+    n = int(rng.integers(1, 7))
+    case = rng.integers(0, 6, n)
+    thresholds = rng.uniform(0.01, 0.5, n)
+    dwells = rng.uniform(1e-3, 0.1, n)
+    state = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, n)
+    samples = state * (1.0 + rng.normal(scale=0.3, size=n))
+    time = 0.5
+    last = time - rng.uniform(0.0, 0.2, n)
+    thresholds[case == 1] = np.inf
+    samples[case == 2] = state[case == 2]
+    state[case == 3] = 0.0
+    if rng.random() < 0.05:
+        state[:] = 0.0
+    tie = case == 4
+    thresholds[tie] = 2.0 ** -rng.integers(1, 6, tie.sum())
+    if mode == "decentralized":
+        state[tie] = rng.integers(-64, 65, tie.sum()) / 8.0
+        samples[tie] = state[tie] + thresholds[tie] * np.abs(state[tie])
+    else:
+        state[tie] = 0.0
+        reference = float(np.linalg.norm(state))
+        samples[tie] = -thresholds[tie] * reference
+    dwell_tie = case == 5
+    dwells[dwell_tie] = 0.125
+    last[dwell_tie] = 0.375
+    config = TriggerConfig(thresholds=thresholds, dwells=dwells)
+    return time, state, samples, config, last, case
+
+
+class TestTransmissionsDueOracle:
+    @pytest.mark.parametrize("mode", STATIC_MODES)
+    def test_matches_loop_on_random_inputs(self, mode):
+        rng = np.random.default_rng(STATIC_MODES.index(mode))
+        firing = silent = ties = 0
+        for _ in range(3000):
+            time, state, samples, config, last, case = _trigger_inputs(rng, mode)
+            fired = transmissions_due(time, state, samples, config, last, mode)
+            assert fired == _transmissions_due_loop(
+                time, state, samples, config, last, mode)
+            firing += bool(fired)
+            silent += not fired
+            ties += sum(1 for i in fired if case[i] in (4, 5))
+        assert firing > 100 and silent > 100 and ties > 100
+
+    @pytest.mark.parametrize("mode", ("decentralized", "centralized"))
+    def test_infinite_dwell_fires_once(self, mode):
+        # A finite threshold with an infinite dwell starts from the NaN
+        # baseline -inf + inf, which does not block the first transmission;
+        # after it, t < t_last + inf blocks every later one.
+        rng = np.random.default_rng(7)
+        config = TriggerConfig(
+            thresholds=np.array([0.05, 0.05]), dwells=np.array([np.inf, 0.01]))
+        last = np.where(np.isfinite(config.dwells), -config.dwells, -np.inf)
+        samples = np.array([1.0, 1.0])
+        counts = [0, 0]
+        for k in range(200):
+            time = k * 0.005
+            state = samples + rng.normal(scale=0.5, size=2)
+            fired = transmissions_due(time, state, samples, config, last, mode)
+            with np.errstate(invalid="ignore"):
+                assert fired == _transmissions_due_loop(
+                    time, state, samples, config, last, mode)
+            for i in fired:
+                samples[i] = state[i]
+                last[i] = time
+                counts[i] += 1
+        assert counts[0] == 1
+        assert counts[1] > 20
 
 
 class TestRunValidation:
@@ -380,6 +505,23 @@ class TestRunFeedback:
         assert margins["distance_excess"] <= 0.0
         assert margins["level_excess"] <= 0.0
 
+    def test_containment_rows_are_fresh_balls(self, fb):
+        # Each row is the ball of that boundary's samples under the aggregate
+        # threshold in force before the boundary's update, if any.
+        _, trace = fb
+        W = np.full(trace.times.size, trace.meta["threshold_norm"])
+        quiet_after_update = 0
+        for update in trace.updates:
+            k = int(np.searchsorted(trace.times, update.time))
+            W[k + 1:] = update.config.threshold_norm
+            quiet_after_update += trace.times[k + 1] not in trace.events.time
+        assert quiet_after_update > 0
+        balls = trace.containment
+        for k in range(trace.times.size):
+            center, radius = containment_sphere(trace.samples[k], W[k])
+            npt.assert_array_equal(balls.center[k], center)
+            assert balls.radius[k] == radius
+
     def test_default_step_is_feedback_step(self, fb):
         scenario, trace = fb
         assert trace.meta["step"] == scenario.feedback_step
@@ -453,6 +595,15 @@ class TestDiagnostics:
             containment_margins(trace)
 
 
+def _csv_outcome(writer, trace, path):
+    """The bytes a trace writer leaves, or the type of error it raises."""
+    try:
+        writer(trace, path)
+    except Exception as exc:
+        return type(exc)
+    return path.read_bytes()
+
+
 @pytest.fixture(scope="module")
 def short_trace():
     return run(cubic_oscillator(), horizon=0.2)
@@ -475,6 +626,26 @@ class TestWriters:
         write_trace_csv(run(cubic_oscillator(), horizon=0.2), a)
         write_trace_csv(run(cubic_oscillator(), horizon=0.2), b)
         assert filecmp.cmp(a, b, shallow=False)
+
+    @pytest.mark.parametrize("boundaries", [1, 2, 1023, 1024, 1025, 2049])
+    def test_csv_matches_row_oracle(self, boundaries, tmp_path):
+        rng = np.random.default_rng(boundaries)
+        shape = (boundaries, 3)
+        states = rng.normal(size=shape) * 10.0 ** rng.integers(-150, 150, shape)
+        samples = np.round(states, int(rng.integers(0, 4)))
+        states[0, :] = (-0.0, 0.1, 5e-324)
+        lyapunov = np.abs(rng.normal(size=boundaries)) * 10.0 ** rng.integers(
+            -100, 100, boundaries)
+        trace = SimulationTrace(times=np.arange(boundaries) * 1e-4, states=states,
+                                samples=samples, lyapunov=lyapunov)
+        assert _csv_outcome(write_trace_csv, trace, tmp_path / "a.csv") == \
+            _csv_outcome(_write_trace_csv_rows, trace, tmp_path / "b.csv")
+
+    def test_feedback_csv_matches_row_oracle(self, fb, tmp_path):
+        _, trace = fb
+        write_trace_csv(trace, tmp_path / "a.csv")
+        _write_trace_csv_rows(trace, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_events_json_structure(self, tmp_path):
         import json
