@@ -218,7 +218,9 @@ def max_on_sphere_grid(value_fn, center, radius, samples=4096):
         return float(value_fn(point))
 
     step = 2.0 * np.pi / samples
-    coarse = np.array([at(k * step) for k in range(samples)])
+    angles = np.arange(samples) * step
+    points = c + radius * np.column_stack((np.cos(angles), np.sin(angles)))
+    coarse = np.array([float(value_fn(point)) for point in points])
     best = int(np.argmax(coarse))
     a = (best - 1) * step
     b = (best + 1) * step

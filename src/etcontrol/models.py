@@ -170,8 +170,10 @@ _CUBIC_NOMINAL = np.array([[0.0, 1.0], [CUBIC_K1, -1.0 + CUBIC_K2]])
 
 
 def _cubic_model():
+    # Row indexing makes both callbacks work on one state vector or on an
+    # (n, B) array of state columns.
     def f(x, u):
-        return np.array([x[1], -x[1] + x[0] ** 3 + float(u[0])])
+        return np.array([x[1], -x[1] + x[0] ** 3 + u[0]])
 
     def controller(x_s):
         return np.array([CUBIC_K1 * x_s[0] + CUBIC_K2 * x_s[1] - x_s[0] ** 3])

@@ -10,6 +10,12 @@ inside integration steps (see the trace metadata). The transmissions and
 the per-boundary containment data are numpy record arrays, so a sensor's
 event times are ``trace.events.time[trace.events.sensor == i]``.
 
+Several runs of one scenario at one step can be simulated as one batch of
+members (``run_members``): the plant state is an ``(n, B)`` array of
+columns, each step makes one controller and one Runge-Kutta call for the
+whole batch, and the triggers are evaluated member by member. ``run`` is
+the one-member case, whose state is a plain vector.
+
 Four trigger modes are supported:
 
 * ``decentralized``: sensor i transmits when its sampling error reaches
@@ -50,6 +56,7 @@ __all__ = [
     "rk4_step",
     "transmissions_due",
     "run",
+    "run_members",
     "summarize",
     "decay_excess",
     "containment_margins",
@@ -148,7 +155,8 @@ def transmissions_due(time, state, samples, config, last_transmit, mode="decentr
     component in decentralized operation, the full state norm in
     centralized operation), and its dwell time has passed since its
     previous transmission (unless the mode disables the dwell condition).
-    Sensors with an infinite threshold never transmit.
+    Sensors with an infinite threshold never transmit, and neither do
+    sensors with an infinite dwell while the dwell condition applies.
 
     Returns
     -------
@@ -160,8 +168,8 @@ def transmissions_due(time, state, samples, config, last_transmit, mode="decentr
     dwell_active = mode != "centralized-nodwell"
     fired = []
     # Python floats: indexing numpy scalars costs more than the arithmetic.
-    # An infinite dwell gives a NaN baseline (-inf + inf), so such a sensor
-    # may fire once and never after.
+    # An infinite dwell gives a NaN baseline (-inf + inf), which the negated
+    # comparison treats as blocking, so such a sensor never transmits.
     rows = zip(config.thresholds.tolist(), config.dwells.tolist(), state.tolist(),
                samples.tolist(), last_transmit.tolist())
     for i, (wi, Ti, xi, si, last) in enumerate(rows):
@@ -173,10 +181,146 @@ def transmissions_due(time, state, samples, config, last_transmit, mode="decentr
         ref = reference if centralized else abs(xi)
         if error < wi * ref:
             continue
-        if dwell_active and time < last + Ti:
+        if dwell_active and not time >= last + Ti:
             continue
         fired.append(i)
     return fired
+
+
+class _Member:
+    """One run of a batch: its validated inputs and its loop state.
+
+    Takes the keyword arguments of ``run`` and checks them in the same
+    order and with the same errors.
+    """
+
+    def __init__(self, scenario, step, design=None, mode="decentralized",
+                 horizon=None, scale=1.0, schedule=None):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
+        scale = float(scale)
+        if not (np.isfinite(scale) and scale > 0.0):
+            raise ValueError(f"scale must be positive and finite, got {scale}")
+        model = scenario.model
+        if design is None:
+            design = design_scenario(scenario)
+        config = design.config
+        if mode == "feedback":
+            default_step = scenario.feedback_step or scenario.step
+        else:
+            default_step = scenario.step
+        h = float(step) if step is not None else float(default_step)
+        if not h > 0.0:
+            raise ValueError(f"step must be positive, got {h}")
+        span = float(horizon) if horizon is not None else float(scenario.horizon)
+        if not (np.isfinite(span) and span > 0.0):
+            raise ValueError(f"horizon must be positive and finite, got {span}")
+        n_steps = int(round(span / h))
+        if n_steps < 1:
+            raise ValueError("horizon must cover at least one step")
+
+        cert = scenario.certificate
+        lip = scenario.lipschitz
+        level = design.level
+        if mode == "feedback":
+            if cert is None or lip is None:
+                raise DesignError("feedback mode needs a certificate and Lipschitz data")
+            if level is None:
+                raise DesignError("feedback mode needs a design level to shrink")
+            if schedule is None:
+                schedule = DEFAULT_SCHEDULE
+
+        x = scale * np.asarray(scenario.x0, dtype=float)
+        x_s = scale * np.asarray(scenario.xs0, dtype=float)
+        if x.shape != (model.state_dim,) or x_s.shape != (model.state_dim,):
+            raise DesignError("initial conditions must be state-dimension vectors")
+
+        caps = None
+        if cert is None:
+            caps = lti_threshold_caps(design.P, model.B, model.K, design.q_min,
+                                      design.sigma, design.theta)
+        elif level is not None:
+            initial_value = float(cert.value(x))
+            if initial_value > level * (1.0 + 1e-12):
+                raise DesignError(
+                    f"initial certificate value {initial_value:.6g} exceeds the design "
+                    f"level {level:.6g}; the guarantees do not cover this start")
+            caps = np.asarray(cert.threshold_bounds(level), dtype=float)
+        if caps is not None:
+            finite = np.isfinite(config.thresholds)
+            if np.any(config.thresholds[finite] > caps[finite] * (1.0 + 1e-9)):
+                raise DesignError("trigger thresholds exceed their admissible bounds")
+
+        self.design = design
+        self.mode = mode
+        self.scale = scale
+        self.schedule = schedule
+        self.h = h
+        self.n_steps = n_steps
+        self.x0 = x
+        self.held = x_s
+        self.config = config
+        self.level = level
+        self.P = design.P if cert is None else cert.quadratic
+        self.bound = QuadraticBound(self.P) if mode == "feedback" else None
+        self.last_transmit = np.where(
+            np.isfinite(config.dwells), -config.dwells, -np.inf)
+        self.states = np.empty((n_steps + 1, model.state_dim))
+        self.samples = np.empty_like(self.states)
+        self.events = []
+        self.updates = []
+        self.consecutive_firing = 0
+        self.containment = np.recarray(n_steps + 1 if mode == "feedback" else 0,
+                                       dtype=containment_dtype(model.state_dim))
+        self.W = config.threshold_norm
+        self.ball = None
+        self.last_update = 0.0
+
+    def contain(self, scenario, k, t, fired):
+        """Feedback mode at boundary ``k``: the containment ball, its
+        certificate bound, and a parameter update when one is due."""
+        # The ball depends only on the samples and W, so it changes only
+        # after a transmission or an update.
+        if fired or self.ball is None:
+            self.ball = containment_sphere(self.held, self.W)
+        center, radius = self.ball
+        value = self.bound(center, radius)
+        if value > 0.0 and update_due(self.schedule, t, self.last_update, value,
+                                      self.level):
+            update = apply_update(scenario.certificate, scenario.lipschitz, value, t,
+                                  self.level)
+            self.updates.append(update)
+            self.config = update.config
+            self.W = self.config.threshold_norm
+            self.ball = None
+            self.level = update.level
+            self.last_update = t
+        self.containment[k] = (center, radius, self.level)
+
+    def trace(self, scenario):
+        """The finished run as a ``SimulationTrace``."""
+        config = self.design.config
+        meta = {
+            "scenario": scenario.name,
+            "mode": self.mode,
+            "step": self.h,
+            "horizon": float(self.n_steps * self.h),
+            "scale": self.scale,
+            "boundaries": self.n_steps + 1,
+            "thresholds": [float(v) for v in config.thresholds],
+            "dwells": [float(v) for v in config.dwells],
+            "threshold_norm": config.threshold_norm,
+            "level": None if self.design.level is None else float(self.design.level),
+            "final_level": None if self.level is None else float(self.level),
+            "event_timing": "triggers are evaluated at step boundaries and events "
+                            "carry the boundary timestamp",
+        }
+        return SimulationTrace(
+            times=np.arange(self.n_steps + 1) * self.h, states=self.states,
+            samples=self.samples,
+            lyapunov=np.einsum("ki,ij,kj->k", self.states, self.P, self.states),
+            events=np.array(self.events, dtype=EVENT_DTYPE).view(np.recarray),
+            updates=self.updates, containment=self.containment, meta=meta)
 
 
 def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
@@ -220,140 +364,90 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
         When the state leaves the representable range or the trigger
         fires at every boundary for an extended stretch.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
-    scale = float(scale)
-    if not (np.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    member = dict(design=design, mode=mode, horizon=horizon, scale=scale,
+                  schedule=schedule)
+    return run_members(scenario, [member], step=step)[0]
+
+
+def run_members(scenario, members, step=None):
+    """Simulate several runs of one scenario at one step as one batch.
+
+    Each member is a dict of ``run``'s keyword arguments (``design``,
+    ``mode``, ``horizon``, ``scale``, ``schedule``), validated as ``run``
+    validates them. The plant state of the batch is one ``(n, B)`` array
+    of columns, so each step makes one ``controller`` and one
+    ``rk4_step`` call for all members; the triggers are evaluated per
+    member. Members are ordered longest horizon first, and a member
+    whose horizon ends drops off the end of the column block. With one
+    member the state is a plain vector, which is how ``run`` simulates.
+    Linear plants advance a batch with matrix products whose rounding
+    can differ in the last bits from the vector products of single runs.
+
+    Feedback mode runs only as a single member.
+
+    Returns
+    -------
+    list of SimulationTrace
+        One per member, in the given order.
+    """
+    members = list(members)
+    if not members:
+        raise ValueError("need at least one member")
+    if len(members) > 1 and any(m.get("mode") == "feedback" for m in members):
+        raise ValueError("feedback mode runs only as a single member")
+    runs = [_Member(scenario, step, **m) for m in members]
+    ordered = sorted(runs, key=lambda m: -m.n_steps)
     model = scenario.model
-    if design is None:
-        design = design_scenario(scenario)
-    config = design.config
-    if mode == "feedback":
-        default_step = scenario.feedback_step or scenario.step
+    h = ordered[0].h
+    n_max = ordered[0].n_steps
+    single = len(ordered) == 1
+    if single:
+        x = ordered[0].x0
+        held = ordered[0].held
     else:
-        default_step = scenario.step
-    h = float(step) if step is not None else float(default_step)
-    if not h > 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    span = float(horizon) if horizon is not None else float(scenario.horizon)
-    if not (np.isfinite(span) and span > 0.0):
-        raise ValueError(f"horizon must be positive and finite, got {span}")
-    n_steps = int(round(span / h))
-    if n_steps < 1:
-        raise ValueError("horizon must cover at least one step")
+        x = np.column_stack([m.x0 for m in ordered])
+        held = np.column_stack([m.held for m in ordered])
+        for j, m in enumerate(ordered):
+            m.held = held[:, j]
+    # Members whose horizon reaches boundary k are the first ``active``.
+    active = len(ordered)
+    held_active = held
 
-    cert = scenario.certificate
-    lip = scenario.lipschitz
-    level = design.level
-    if mode == "feedback":
-        if cert is None or lip is None:
-            raise DesignError("feedback mode needs a certificate and Lipschitz data")
-        if level is None:
-            raise DesignError("feedback mode needs a design level to shrink")
-        if schedule is None:
-            schedule = DEFAULT_SCHEDULE
+    for k in range(n_max + 1):
+        t = k * h
+        for j in range(active):
+            m = ordered[j]
+            column = x if single else x[:, j]
+            fired = transmissions_due(t, column, m.held, m.config, m.last_transmit, m.mode)
+            for i in fired:
+                m.events.append((i, t, float(column[i]), float(t - m.last_transmit[i])))
+                m.held[i] = column[i]
+                m.last_transmit[i] = t
+            if fired:
+                m.consecutive_firing += 1
+                if m.consecutive_firing > _ZENO_LIMIT:
+                    raise SimulationError(
+                        f"trigger fired at {m.consecutive_firing} consecutive "
+                        f"boundaries (t={t:.6g}); the configuration is effectively Zeno")
+            else:
+                m.consecutive_firing = 0
+            if m.bound is not None:
+                m.contain(scenario, k, t, fired)
+            m.states[k] = column
+            m.samples[k] = m.held
+        if k == n_max:
+            break
+        if ordered[active - 1].n_steps == k:
+            while ordered[active - 1].n_steps == k:
+                active -= 1
+            x = x[:, :active]
+            held_active = held[:, :active]
+        control = model.controller(held_active)
+        x = rk4_step(model.f, x, control, h)
+        if not np.isfinite(x).all():
+            raise SimulationError(f"state became non-finite at t={(k + 1) * h:.6g}")
 
-    x = scale * np.asarray(scenario.x0, dtype=float)
-    x_s = scale * np.asarray(scenario.xs0, dtype=float)
-    if x.shape != (model.state_dim,) or x_s.shape != (model.state_dim,):
-        raise DesignError("initial conditions must be state-dimension vectors")
-
-    caps = None
-    if cert is None:
-        caps = lti_threshold_caps(design.P, model.B, model.K, design.q_min,
-                                  design.sigma, design.theta)
-    elif level is not None:
-        initial_value = float(cert.value(x))
-        if initial_value > level * (1.0 + 1e-12):
-            raise DesignError(
-                f"initial certificate value {initial_value:.6g} exceeds the design "
-                f"level {level:.6g}; the guarantees do not cover this start")
-        caps = np.asarray(cert.threshold_bounds(level), dtype=float)
-    if caps is not None:
-        finite = np.isfinite(config.thresholds)
-        if np.any(config.thresholds[finite] > caps[finite] * (1.0 + 1e-9)):
-            raise DesignError("trigger thresholds exceed their admissible bounds")
-
-    P = design.P if cert is None else cert.quadratic
-    bound = QuadraticBound(P) if mode == "feedback" else None
-
-    times = np.arange(n_steps + 1) * h
-    states = np.empty((n_steps + 1, model.state_dim))
-    samples = np.empty_like(states)
-    events = []
-    updates = []
-    containment = np.recarray(n_steps + 1 if mode == "feedback" else 0,
-                              dtype=containment_dtype(model.state_dim))
-    initial_thresholds = config.thresholds.copy()
-    initial_dwells = config.dwells.copy()
-    last_transmit = np.where(
-        np.isfinite(config.dwells), -config.dwells, -np.inf)
-    last_update = 0.0
-    consecutive_firing = 0
-    W = config.threshold_norm
-    ball_stale = True
-
-    for k in range(n_steps + 1):
-        t = float(times[k])
-        fired = transmissions_due(t, x, x_s, config, last_transmit, mode)
-        for i in fired:
-            events.append((i, t, float(x[i]), float(t - last_transmit[i])))
-            x_s[i] = x[i]
-            last_transmit[i] = t
-        if fired:
-            consecutive_firing += 1
-            if consecutive_firing > _ZENO_LIMIT:
-                raise SimulationError(
-                    f"trigger fired at {consecutive_firing} consecutive boundaries "
-                    f"(t={t:.6g}); the configuration is effectively Zeno")
-        else:
-            consecutive_firing = 0
-        if mode == "feedback":
-            # The ball depends only on the samples and W, so it changes only
-            # after a transmission or an update.
-            if fired or ball_stale:
-                center, radius = containment_sphere(x_s, W)
-                ball_stale = False
-            value = bound(center, radius)
-            if value > 0.0 and update_due(schedule, t, last_update, value, level):
-                update = apply_update(cert, lip, value, t, level)
-                updates.append(update)
-                config = update.config
-                W = config.threshold_norm
-                ball_stale = True
-                level = update.level
-                last_update = t
-            containment[k] = (center, radius, level)
-        states[k] = x
-        samples[k] = x_s
-        if k < n_steps:
-            control = model.controller(x_s)
-            x = rk4_step(model.f, x, control, h)
-            if not np.isfinite(x).all():
-                raise SimulationError(
-                    f"state became non-finite at t={float(times[k + 1]):.6g}")
-
-    meta = {
-        "scenario": scenario.name,
-        "mode": mode,
-        "step": h,
-        "horizon": float(n_steps * h),
-        "scale": scale,
-        "boundaries": n_steps + 1,
-        "thresholds": [float(v) for v in initial_thresholds],
-        "dwells": [float(v) for v in initial_dwells],
-        "threshold_norm": design.config.threshold_norm,
-        "level": None if design.level is None else float(design.level),
-        "final_level": None if level is None else float(level),
-        "event_timing": "triggers are evaluated at step boundaries and events "
-                        "carry the boundary timestamp",
-    }
-    return SimulationTrace(
-        times=times, states=states, samples=samples,
-        lyapunov=np.einsum("ki,ij,kj->k", states, P, states),
-        events=np.array(events, dtype=EVENT_DTYPE).view(np.recarray),
-        updates=updates, containment=containment, meta=meta)
+    return [m.trace(scenario) for m in runs]
 
 
 def sensor_statistics(times_by_sensor, dwells, quantiles=QUANTILES):

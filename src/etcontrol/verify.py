@@ -5,7 +5,12 @@ check records its name, measured value, tolerance, verdict and a detail
 line. Per scenario the checks cover certified decay, the per-sensor gap
 floors (with halved-floor and doubled-threshold faults that must be
 caught), scale invariance for linear plants, the redundancy of dwell
-times under the centralized rule, and containment in feedback mode.
+times under the centralized rule, and containment in feedback mode. A
+scenario's runs at its own step (decentralized, the 1000x scale for
+linear plants, centralized with and without dwells, and the halved-floor
+fault) are simulated as one batch of members by
+``simulate.run_members``; the half-step run, the doubled-threshold run
+(rejected before it steps) and the feedback run go alone.
 Three seeded batteries compare fast paths with independent oracles:
 ``riccati.crossing_time_numeric``, the Lyapunov residual, and
 ``feedback.max_on_sphere_grid``.
@@ -26,7 +31,8 @@ from .linalg import is_hurwitz, solve_lyapunov
 from .models import design_scenario
 from .riccati import RiccatiCoefficients, crossing_time, crossing_time_numeric
 from .simulate import (containment_margins, decay_excess, dump_json, run,
-                       summarize, summary_from_events, write_events_json)
+                       run_members, summarize, summary_from_events,
+                       write_events_json)
 
 __all__ = ["report", "matched_event_delta"]
 
@@ -168,6 +174,28 @@ def _summary_roundtrip_mismatch(trace):
     return 0.0 if same else 1.0
 
 
+def _same_step_members(scenario, design):
+    """The battery's runs at the scenario's own step, as ``run_members``
+    members by name: the decentralized trace, the 1000x scale (linear
+    plants only), centralized with and without dwells, and the
+    halved-floor fault."""
+    horizon = min(1.5, float(scenario.horizon))
+    pair_horizon = min(1.0, float(scenario.horizon))
+    forged_dwells = dataclasses.replace(
+        design, config=TriggerConfig(design.config.thresholds,
+                                     design.config.dwells * 0.5))
+    members = {
+        "trace": dict(design=design, horizon=horizon),
+        "with_dwell": dict(design=design, horizon=pair_horizon, mode="centralized"),
+        "without": dict(design=design, horizon=pair_horizon,
+                        mode="centralized-nodwell"),
+        "faulty": dict(design=forged_dwells, horizon=pair_horizon),
+    }
+    if scenario.certificate is None:
+        members["scaled"] = dict(design=design, horizon=horizon, scale=1e3)
+    return members
+
+
 def _scenario_checks(scenario):
     """Run the invariant battery for one scenario."""
     checks = []
@@ -182,8 +210,11 @@ def _scenario_checks(scenario):
             f"{name}.design_residual", residual / np.linalg.norm(scenario.Q),
             1e-10, detail="Lyapunov equation residual relative to the rate matrix"))
 
-    horizon = min(1.5, float(scenario.horizon))
-    trace = run(scenario, design=design, horizon=horizon)
+    members = _same_step_members(scenario, design)
+    runs = dict(zip(members, run_members(scenario, members.values())))
+    trace = runs["trace"]
+    horizon = members["trace"]["horizon"]
+    pair_horizon = members["with_dwell"]["horizon"]
     step = trace.meta["step"]
     checks.append(_check(
         f"{name}.dwell_enforcement", _gap_shortfall(trace, trace.meta["dwells"]),
@@ -201,29 +232,20 @@ def _scenario_checks(scenario):
         f"{name}.family_membership_halfstep", _family_excess(half), step / 2.0,
         detail="the same membership check at half the integration step"))
 
-    pair_horizon = min(1.0, float(scenario.horizon))
     if is_linear:
-        scaled = run(scenario, design=design, horizon=horizon, scale=1e3)
         checks.append(_check(
-            f"{name}.scale_invariance", matched_event_delta(trace, scaled), step,
+            f"{name}.scale_invariance", matched_event_delta(trace, runs["scaled"]), step,
             detail="events under a 1000x initial-condition scale, matched in order"))
-    with_dwell = run(scenario, design=design, horizon=pair_horizon,
-                     mode="centralized")
-    without = run(scenario, design=design, horizon=pair_horizon,
-                  mode="centralized-nodwell")
     checks.append(_check(
-        f"{name}.centralized_equivalence", matched_event_delta(with_dwell, without),
+        f"{name}.centralized_equivalence",
+        matched_event_delta(runs["with_dwell"], runs["without"]),
         0.0, detail="largest event-time difference, per sensor, when the "
                     "dwell-free variant runs"))
     checks.append(_check(
         f"{name}.summary_roundtrip", _summary_roundtrip_mismatch(trace), 0.0,
         detail="statistics recomputed from the emitted event file"))
 
-    forged_dwells = dataclasses.replace(
-        design, config=TriggerConfig(design.config.thresholds,
-                                     design.config.dwells * 0.5))
-    faulty = run(scenario, design=forged_dwells, horizon=pair_horizon)
-    shortfall = _gap_shortfall(faulty, design.config.dwells)
+    shortfall = _gap_shortfall(runs["faulty"], design.config.dwells)
     checks.append(_check(
         f"{name}.fault_halved_dwell_detected", shortfall, 1e-12,
         passed=shortfall > 1e-12,

@@ -204,6 +204,24 @@ class TestMaxOnSphereGrid:
         value = max_on_sphere_grid(lambda x: float(x[0] + x[1]), [0.0, 0.0], 1.0)
         assert value == pytest.approx(np.sqrt(2.0), rel=1e-10)
 
+    def test_scan_visits_each_angle_as_one_point(self):
+        # The coarse scan hands the scalar field one planar point per
+        # angle k * 2 pi / samples, in order, then the 2 + 90 refinements.
+        seen = []
+
+        def field(x):
+            seen.append(np.array(x))
+            return float(x[0] - 2.0 * x[1])
+
+        center, radius, samples = np.array([0.3, -1.2]), 1.7, 64
+        max_on_sphere_grid(field, center, radius, samples=samples)
+        assert len(seen) == samples + 92
+        assert all(point.shape == (2,) for point in seen)
+        step = 2.0 * np.pi / samples
+        expected = [center + radius * np.array([np.cos(k * step), np.sin(k * step)])
+                    for k in range(samples)]
+        npt.assert_allclose(seen[:samples], expected, rtol=1e-15, atol=1e-15)
+
 
 class TestEstimateContainment:
     def test_bound_is_sound_for_consistent_states(self):

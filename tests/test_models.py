@@ -193,6 +193,34 @@ class TestCubicOscillator:
         with pytest.raises(DesignError, match="level"):
             cubic_oscillator(level=0.0)
 
+    def test_callbacks_on_state_columns(self):
+        # A batch of members holds its states as (2, B) columns; each
+        # column must follow the one-state callbacks to roundoff.
+        model = cubic_oscillator().model
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-3.0, 3.0, size=(2, 16))
+        xs = x + rng.uniform(-0.5, 0.5, size=(2, 16))
+        u = model.controller(xs)
+        dx = model.f(x, u)
+        assert u.shape == (1, 16) and dx.shape == (2, 16)
+        for j in range(16):
+            npt.assert_allclose(u[:, j], model.controller(xs[:, j]), rtol=1e-15)
+            npt.assert_allclose(dx[:, j], model.f(x[:, j], u[:, j]), rtol=1e-15,
+                                atol=1e-15)
+
+    def test_vector_callbacks_keep_scalar_arithmetic(self):
+        # On one state vector the callbacks compute exactly the scalar
+        # expressions of the model.
+        model = cubic_oscillator().model
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            x = rng.uniform(-3.0, 3.0, size=2)
+            xs = x + rng.uniform(-0.5, 0.5, size=2)
+            u = model.controller(xs)
+            x1, x2, s1, s2 = (float(v) for v in (*x, *xs))
+            npt.assert_array_equal(u, [CUBIC_K1 * s1 + CUBIC_K2 * s2 - s1 ** 3])
+            npt.assert_array_equal(model.f(x, u), [x2, -x2 + x1 ** 3 + float(u[0])])
+
 
 class TestLipschitzBoundsCubic:
     def test_constants_match_frozen_values(self):

@@ -27,12 +27,14 @@ from etcontrol.simulate import (
     decay_excess,
     rk4_step,
     run,
+    run_members,
     summarize,
     transmissions_due,
     write_events_json,
     write_summary_json,
     write_trace_csv,
 )
+from etcontrol.verify import _same_step_members
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +62,10 @@ def _synthetic_events(sensors, times):
 def _transmissions_due_loop(time, state, samples, config, last_transmit,
                             mode="decentralized"):
     """Reference for ``transmissions_due``: the per-sensor loop over numpy
-    scalars it replaced. An infinite dwell makes numpy warn on the
-    ``-inf + inf`` baseline; callers silence that with ``np.errstate``."""
+    scalars it replaced, with the dwell test negated so that the NaN
+    baseline of an infinite dwell blocks. An infinite dwell makes numpy
+    warn on the ``-inf + inf`` baseline; callers silence that with
+    ``np.errstate``."""
     w = config.thresholds
     T = config.dwells
     centralized = mode.startswith("centralized")
@@ -78,7 +82,7 @@ def _transmissions_due_loop(time, state, samples, config, last_transmit,
         ref = reference if centralized else abs(float(state[i]))
         if error < wi * ref:
             continue
-        if dwell_active and time < last_transmit[i] + T[i]:
+        if dwell_active and not time >= last_transmit[i] + T[i]:
             continue
         fired.append(i)
     return fired
@@ -255,10 +259,9 @@ class TestTransmissionsDueOracle:
         assert firing > 100 and silent > 100 and ties > 100
 
     @pytest.mark.parametrize("mode", ("decentralized", "centralized"))
-    def test_infinite_dwell_fires_once(self, mode):
+    def test_infinite_dwell_never_fires(self, mode):
         # A finite threshold with an infinite dwell starts from the NaN
-        # baseline -inf + inf, which does not block the first transmission;
-        # after it, t < t_last + inf blocks every later one.
+        # baseline -inf + inf, which blocks like any unfinished dwell.
         rng = np.random.default_rng(7)
         config = TriggerConfig(
             thresholds=np.array([0.05, 0.05]), dwells=np.array([np.inf, 0.01]))
@@ -276,8 +279,13 @@ class TestTransmissionsDueOracle:
                 samples[i] = state[i]
                 last[i] = time
                 counts[i] += 1
-        assert counts[0] == 1
+        assert counts[0] == 0
         assert counts[1] > 20
+
+    def test_centralized_nodwell_ignores_infinite_dwell(self):
+        config = TriggerConfig(thresholds=np.array([0.05]), dwells=np.array([np.inf]))
+        assert transmissions_due(0.0, np.array([1.0]), np.array([2.0]), config,
+                                 np.array([-np.inf]), "centralized-nodwell") == [0]
 
 
 class TestRunValidation:
@@ -399,6 +407,91 @@ class TestRunBatch:
             if times.size >= 2 and np.diff(times).min() < design.config.dwells[i] - 1e-12:
                 violated = True
         assert violated
+
+    def test_infinite_dwell_sensor_never_transmits(self, batch_short):
+        scenario, design, _ = batch_short
+        dwells = design.config.dwells.copy()
+        dwells[3] = np.inf
+        forged = dataclasses.replace(
+            design, config=TriggerConfig(design.config.thresholds, dwells))
+        trace = run(scenario, design=forged, horizon=0.2)
+        assert not np.any(trace.events.sensor == 3)
+        assert set(trace.events.sensor.tolist()) == {0, 1, 2}
+
+
+def _assert_same_run(batched, alone):
+    """A batch member reproduces its separate run: the same events and
+    meta, states and samples to roundoff."""
+    assert batched.meta == alone.meta
+    npt.assert_array_equal(batched.times, alone.times)
+    npt.assert_array_equal(batched.events.sensor, alone.events.sensor)
+    npt.assert_array_equal(batched.events.time, alone.events.time)
+    npt.assert_array_equal(batched.events.gap, alone.events.gap)
+    scale = np.abs(alone.states).max()
+    for a, b in ((batched.states, alone.states), (batched.samples, alone.samples),
+                 (batched.events.value, alone.events.value)):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * scale
+
+
+class TestRunMembers:
+    @pytest.mark.parametrize("make", [batch_reactor, cubic_oscillator])
+    def test_verify_members_match_separate_runs(self, make):
+        scenario = make()
+        members = _same_step_members(scenario, design_scenario(scenario))
+        assert len(members) == (5 if scenario.certificate is None else 4)
+        batched = run_members(scenario, members.values())
+        for member, trace in zip(members.values(), batched):
+            assert len(trace.events) > 0
+            _assert_same_run(trace, run(scenario, **member))
+
+    @pytest.mark.parametrize("make", [batch_reactor, cubic_oscillator])
+    def test_unequal_horizons_keep_member_order(self, make):
+        scenario = make()
+        design = design_scenario(scenario)
+        members = [dict(design=design, horizon=0.05),
+                   dict(design=design, horizon=0.2, mode="centralized"),
+                   dict(design=design, horizon=0.1, scale=0.5),
+                   dict(design=design, horizon=0.2)]
+        traces = run_members(scenario, members)
+        assert [t.meta["boundaries"] for t in traces] == [501, 2001, 1001, 2001]
+        for member, trace in zip(members, traces):
+            _assert_same_run(trace, run(scenario, **member))
+
+    def test_feedback_runs_only_alone(self):
+        scenario = cubic_oscillator()
+        with pytest.raises(ValueError, match="single member"):
+            run_members(scenario, [dict(horizon=0.1), dict(mode="feedback", horizon=0.1)])
+        alone = run_members(scenario, [dict(mode="feedback", horizon=0.5)])[0]
+        assert alone.meta["step"] == scenario.feedback_step
+        assert len(alone.containment) == alone.meta["boundaries"]
+
+    def test_members_are_validated_like_run(self):
+        scenario = cubic_oscillator()
+        with pytest.raises(ValueError, match="at least one member"):
+            run_members(scenario, [])
+        for bad, error, match in [
+                (dict(mode="sporadic"), ValueError, "mode"),
+                (dict(scale=0.0), ValueError, "scale"),
+                (dict(horizon=np.inf), ValueError, "finite"),
+                (dict(horizon=1e-6), ValueError, "one step"),
+                (dict(scale=2.0), DesignError, "exceeds the design")]:
+            with pytest.raises(error, match=match):
+                run(scenario, **bad)
+            with pytest.raises(error, match=match):
+                run_members(scenario, [dict(horizon=0.1), bad])
+
+    def test_diverging_member_names_its_time(self):
+        # Scaled close to the largest float, one member overflows in its
+        # first step while the other stays finite.
+        scenario = batch_reactor()
+        members = [dict(horizon=0.05), dict(horizon=0.05, scale=1e307)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationError, match="non-finite at t=") as batched:
+                run_members(scenario, members)
+            with pytest.raises(SimulationError) as alone:
+                run(scenario, **members[1])
+        assert str(batched.value) == str(alone.value)
 
 
 class TestTraceColumns:
