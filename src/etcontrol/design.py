@@ -180,7 +180,7 @@ def validate_weights(theta):
     return theta
 
 
-def dwell_times(thresholds, lip, bounds=None):
+def dwell_times(thresholds, lip):
     """Minimum dwell times for the given thresholds.
 
     For sensor i the sampling-error-to-state ratio obeys the comparison
@@ -202,8 +202,6 @@ def dwell_times(thresholds, lip, bounds=None):
         Positive per-sensor thresholds w_i (``inf`` for excluded sensors).
     lip : LipschitzData
         Growth constants on the region the design is valid on.
-    bounds : array_like, optional
-        Admissible caps; any threshold above its cap rejects the design.
 
     Returns
     -------
@@ -215,16 +213,6 @@ def dwell_times(thresholds, lip, bounds=None):
         raise DesignError("thresholds must be a non-empty 1-D array")
     if np.any(np.isnan(w)) or np.any(w <= 0.0):
         raise DesignError("thresholds must be positive (inf marks excluded sensors)")
-    if bounds is not None:
-        caps = np.asarray(bounds, dtype=float)
-        if caps.shape != w.shape:
-            raise DesignError("threshold bounds must match thresholds in shape")
-        bad = np.nonzero(w > caps * (1.0 + 1e-12))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise DesignError(
-                f"threshold {w[i]:.6g} for sensor {i} exceeds its admissible "
-                f"bound {caps[i]:.6g}")
     L = float(lip.state_gain)
     D = float(lip.error_gain)
     Li = np.asarray(lip.state_gains, dtype=float)
@@ -260,7 +248,7 @@ def design_nonlinear(cert, lipschitz, level):
     w = np.asarray(cert.threshold_bounds(level), dtype=float)
     if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
         raise DesignError("certificate produced non-positive threshold bounds")
-    T = dwell_times(w, lipschitz(level), bounds=w)
+    T = dwell_times(w, lipschitz(level))
     return TriggerConfig(thresholds=w, dwells=T)
 
 

@@ -35,6 +35,9 @@ __all__ = [
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
+# Equally spaced angles of ``max_on_sphere_grid``'s coarse scan.
+_GRID_SAMPLES = 4096
+
 
 @dataclass(frozen=True)
 class ParameterUpdate:
@@ -146,8 +149,8 @@ class QuadraticBound:
         """
         c = np.asarray(center, dtype=float)
         radius = float(radius)
-        if radius < 0.0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
+        if not 0.0 <= radius < np.inf:
+            raise ValueError(f"radius must be finite and non-negative, got {radius}")
         query = (c.tobytes(), radius)
         if query != self._last_query:
             self._last_value = self._maximize(c, radius)
@@ -194,31 +197,29 @@ class QuadraticBound:
         return base_value + cross + hi * radius * radius
 
 
-def max_on_sphere_grid(value_fn, center, radius, samples=4096):
+def max_on_sphere_grid(value_fn, center, radius):
     """Grid-plus-refinement maximum of a scalar field on a planar circle.
 
     Independent oracle for the exact quadratic maximization of
     ``QuadraticBound``, used by the tests and the verify battery: scans
-    ``samples`` equally spaced angles, then sharpens the best bracket by
-    golden-section search.
+    ``_GRID_SAMPLES`` equally spaced angles, then sharpens the best
+    bracket by golden-section search.
     """
     c = np.asarray(center, dtype=float)
     if c.shape != (2,):
         raise ValueError("grid maximization supports two-dimensional states only")
     radius = float(radius)
-    if radius < 0.0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
+    if not 0.0 <= radius < np.inf:
+        raise ValueError(f"radius must be finite and non-negative, got {radius}")
     if radius == 0.0:
         return float(value_fn(c))
-    if samples < 8:
-        raise ValueError(f"need at least 8 angular samples, got {samples}")
 
     def at(theta):
         point = c + radius * np.array([np.cos(theta), np.sin(theta)])
         return float(value_fn(point))
 
-    step = 2.0 * np.pi / samples
-    angles = np.arange(samples) * step
+    step = 2.0 * np.pi / _GRID_SAMPLES
+    angles = np.arange(_GRID_SAMPLES) * step
     points = c + radius * np.column_stack((np.cos(angles), np.sin(angles)))
     coarse = np.array([float(value_fn(point)) for point in points])
     best = int(np.argmax(coarse))

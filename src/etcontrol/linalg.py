@@ -76,12 +76,6 @@ def spectral_norm(M):
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError("spectral_norm input has non-finite entries")
-    if M.ndim == 1:
-        return float(np.linalg.norm(M))
-    if M.ndim != 2:
-        raise ValueError(f"spectral_norm expects a vector or matrix, got shape {M.shape}")
-    if min(M.shape) == 0:
-        return 0.0
     return float(np.linalg.norm(M, 2))
 
 

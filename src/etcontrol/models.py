@@ -10,12 +10,13 @@ Two fully parameterized case studies ship with the toolkit:
   on the operating region of a level c and are defined here, around one
   cubic error polynomial.
 
-Custom LTI scenarios can be loaded from a JSON document via ``load_lti``.
+Custom LTI scenarios load from a mapping or a JSON file via ``load_lti``.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -278,19 +279,16 @@ _LTI_KEYS = ("A", "B", "K", "Q", "theta", "sigma", "x0", "xs0", "horizon")
 
 
 def load_lti(source):
-    """Build a custom LTI scenario from a JSON document or mapping.
+    """Build a custom LTI scenario from a mapping or the path of a JSON file.
 
     The document must supply ``A, B, K, Q, theta, sigma, x0, xs0,
     horizon``; ``step`` and ``name`` are optional.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "read"):
-        if hasattr(source, "read"):
-            data = json.load(source)
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-    else:
+    if isinstance(source, Mapping):
         data = dict(source)
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
     missing = [k for k in _LTI_KEYS if k not in data]
     if missing:
         raise ValueError(f"LTI scenario document missing keys: {', '.join(missing)}")

@@ -27,6 +27,9 @@ __all__ = ["RiccatiCoefficients", "crossing_time", "crossing_time_numeric"]
 _SMALLEST_EXPONENT = -499
 _WIDE = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
+# Integration time past which the numeric oracle abandons its search.
+_HORIZON = 1e7
+
 
 @dataclass(frozen=True)
 class RiccatiCoefficients:
@@ -155,10 +158,10 @@ def _rk4_trial(phi, h, a0, a1, a2):
     return phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_to_crossing(w, a0, a1, a2, h, horizon):
+def _integrate_to_crossing(w, a0, a1, a2, h):
     """Fixed-step forward integration with step halving at the crossing.
 
-    Returns the crossing time, or None when ``horizon`` is exceeded.
+    Returns the crossing time, or None past ``_HORIZON``.
     """
     t, phi = 0.0, 0.0
     while True:
@@ -166,7 +169,7 @@ def _integrate_to_crossing(w, a0, a1, a2, h, horizon):
         if trial < w:
             t += h
             phi = trial
-            if t > horizon:
+            if t > _HORIZON:
                 return None
             continue
         if h <= 1e-12 * (t + h):
@@ -174,19 +177,20 @@ def _integrate_to_crossing(w, a0, a1, a2, h, horizon):
         h *= 0.5
 
 
-def _unreached(w, horizon):
-    warnings.warn(f"comparison ODE did not reach level {w} within horizon {horizon}",
+def _unreached(w):
+    warnings.warn(f"comparison ODE did not reach level {w} within horizon {_HORIZON}",
                   RuntimeWarning, stacklevel=3)
     return math.inf
 
 
-def crossing_time_numeric(level, coeffs, step=None, horizon=1e7):
+def crossing_time_numeric(level, coeffs):
     """Crossing time by forward RK4 integration; oracle for crossing_time.
 
     Integrates ``phi' = a0 + a1 phi + a2 phi^2`` from zero with a fixed
     step, halving the step at the crossing until the bracket collapses.
     The whole integration is repeated at half the step until two
-    consecutive results agree to 1e-8 relative.
+    consecutive results agree to 1e-8 relative. Past an integration time
+    of 1e7 the search is abandoned and ``math.inf`` returned with a warning.
 
     Parameters
     ----------
@@ -194,13 +198,6 @@ def crossing_time_numeric(level, coeffs, step=None, horizon=1e7):
         Target value, finite and non-negative.
     coeffs : RiccatiCoefficients
         ODE coefficients.
-    step : float, optional
-        Initial integration step; derived from the analytic bracket
-        ``level / (a0 + a1 level + a2 level^2) <= t <= level / a0`` when
-        omitted.
-    horizon : float, optional
-        Integration time beyond which the search is abandoned and
-        ``math.inf`` returned with a warning.
 
     Returns
     -------
@@ -214,13 +211,7 @@ def crossing_time_numeric(level, coeffs, step=None, horizon=1e7):
     if a0 == 0.0:
         # phi stays identically zero; no finite horizon helps.
         return math.inf
-    if step is not None:
-        step = float(step)
-        if not step > 0.0:
-            raise ValueError(f"step must be positive, got {step}")
-        h = step
-    else:
-        h = 0.25 * w / (a0 + w * (a1 + a2 * w))
+    h = 0.25 * w / (a0 + w * (a1 + a2 * w))
     # Coarse pass: exponential step growth brackets the crossing cheaply.
     t, phi = 0.0, 0.0
     hc = h
@@ -232,18 +223,18 @@ def crossing_time_numeric(level, coeffs, step=None, horizon=1e7):
         t += hc
         phi = trial
         hc *= 2.0
-        if t > horizon:
-            return _unreached(w, horizon)
+        if t > _HORIZON:
+            return _unreached(w)
     # Fine passes at h and h/2 until mutually converged.
     h = min(h, coarse / 400.0)
-    previous = _integrate_to_crossing(w, a0, a1, a2, h, horizon)
+    previous = _integrate_to_crossing(w, a0, a1, a2, h)
     for _ in range(8):
         h *= 0.5
-        current = _integrate_to_crossing(w, a0, a1, a2, h, horizon)
+        current = _integrate_to_crossing(w, a0, a1, a2, h)
         if previous is not None and current is not None:
             if abs(previous - current) <= 1e-8 * current:
                 return current
         previous = current
     if current is None:
-        return _unreached(w, horizon)
+        return _unreached(w)
     return current

@@ -164,7 +164,13 @@ def transmissions_due(time, state, samples, config, last_transmit, mode="decentr
         Indices of firing sensors, ascending.
     """
     centralized = mode.startswith("centralized")
-    reference = float(np.linalg.norm(state)) if centralized else 0.0
+    reference = 0.0
+    if centralized:
+        reference = float(np.linalg.norm(state))
+        if reference == math.inf:
+            # The sum of squares overflows once |x| passes about 1.3e154.
+            peak = float(np.max(np.abs(state)))
+            reference = peak * float(np.linalg.norm(state / peak))
     dwell_active = mode != "centralized-nodwell"
     fired = []
     # Python floats: indexing numpy scalars costs more than the arithmetic.
@@ -413,39 +419,45 @@ def run_members(scenario, members, step=None):
     active = len(ordered)
     held_active = held
 
-    for k in range(n_max + 1):
-        t = k * h
-        for j in range(active):
-            m = ordered[j]
-            column = x if single else x[:, j]
-            fired = transmissions_due(t, column, m.held, m.config, m.last_transmit, m.mode)
-            for i in fired:
-                m.events.append((i, t, float(column[i]), float(t - m.last_transmit[i])))
-                m.held[i] = column[i]
-                m.last_transmit[i] = t
-            if fired:
-                m.consecutive_firing += 1
-                if m.consecutive_firing > _ZENO_LIMIT:
-                    raise SimulationError(
-                        f"trigger fired at {m.consecutive_firing} consecutive "
-                        f"boundaries (t={t:.6g}); the configuration is effectively Zeno")
-            else:
-                m.consecutive_firing = 0
-            if m.bound is not None:
-                m.contain(scenario, k, t, fired)
-            m.states[k] = column
-            m.samples[k] = m.held
-        if k == n_max:
-            break
-        if ordered[active - 1].n_steps == k:
-            while ordered[active - 1].n_steps == k:
-                active -= 1
-            x = x[:, :active]
-            held_active = held[:, :active]
-        control = model.controller(held_active)
-        x = rk4_step(model.f, x, control, h)
-        if not np.isfinite(x).all():
-            raise SimulationError(f"state became non-finite at t={(k + 1) * h:.6g}")
+    # A diverging state overflows inside the plant callbacks; the finiteness
+    # check after each step reports it as a SimulationError instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_max + 1):
+            t = k * h
+            for j in range(active):
+                m = ordered[j]
+                column = x if single else x[:, j]
+                fired = transmissions_due(t, column, m.held, m.config, m.last_transmit,
+                                          m.mode)
+                for i in fired:
+                    m.events.append(
+                        (i, t, float(column[i]), float(t - m.last_transmit[i])))
+                    m.held[i] = column[i]
+                    m.last_transmit[i] = t
+                if fired:
+                    m.consecutive_firing += 1
+                    if m.consecutive_firing > _ZENO_LIMIT:
+                        raise SimulationError(
+                            f"trigger fired at {m.consecutive_firing} consecutive "
+                            f"boundaries (t={t:.6g}); the configuration is "
+                            "effectively Zeno")
+                else:
+                    m.consecutive_firing = 0
+                if m.bound is not None:
+                    m.contain(scenario, k, t, fired)
+                m.states[k] = column
+                m.samples[k] = m.held
+            if k == n_max:
+                break
+            if ordered[active - 1].n_steps == k:
+                while ordered[active - 1].n_steps == k:
+                    active -= 1
+                x = x[:, :active]
+                held_active = held[:, :active]
+            control = model.controller(held_active)
+            x = rk4_step(model.f, x, control, h)
+            if not np.isfinite(x).all():
+                raise SimulationError(f"state became non-finite at t={(k + 1) * h:.6g}")
 
     return [m.trace(scenario) for m in runs]
 

@@ -2,7 +2,8 @@
 
 Each test pins one externally visible guarantee of the package at its
 stated tolerance, using the two bundled benchmark scenarios. Expensive
-simulations are shared through module-scoped fixtures.
+simulations are shared through module-scoped fixtures, and runs that
+share a step are stepped as one ``run_members`` batch.
 """
 
 import math
@@ -17,7 +18,7 @@ from etcontrol.models import (BATCH_A, BATCH_B, BATCH_K, batch_reactor,
                               cubic_oscillator, design_scenario)
 from etcontrol.riccati import (RiccatiCoefficients, crossing_time,
                                crossing_time_numeric)
-from etcontrol.simulate import containment_margins, decay_excess, run
+from etcontrol.simulate import containment_margins, decay_excess, run, run_members
 
 # Reference statistics for the bundled benchmark runs. Dwells and gaps
 # are in milliseconds; counts are transmissions over the 10 s horizon.
@@ -78,18 +79,17 @@ def feedback_trace(cubic):
 @pytest.fixture(scope="module")
 def scaled_traces(batch, batch_trace):
     scenario, design = batch
-    return {
-        1e-3: run(scenario, design=design, scale=1e-3),
-        1.0: batch_trace,
-        1e3: run(scenario, design=design, scale=1e3),
-    }
+    small, large = run_members(scenario, [
+        dict(design=design, scale=1e-3), dict(design=design, scale=1e3)])
+    return {1e-3: small, 1.0: batch_trace, 1e3: large}
 
 
 @pytest.fixture(scope="module")
 def centralized_pair(batch):
     scenario, design = batch
-    with_dwell = run(scenario, design=design, mode="centralized")
-    without = run(scenario, design=design, mode="centralized-nodwell")
+    with_dwell, without = run_members(scenario, [
+        dict(design=design, mode="centralized"),
+        dict(design=design, mode="centralized-nodwell")])
     return with_dwell, without
 
 

@@ -225,11 +225,6 @@ class TestDwellTimes:
         alone = self._constant_lip(3.0, 1.5, [1.0, 0.5], [0.5, 0.7])
         npt.assert_array_equal(T[[0, 2]], dwell_times([0.4, 0.3], alone))
 
-    def test_rejects_threshold_above_bound(self):
-        lip = self._constant_lip(1.0, 0.0, [1.0, 1.0], [0.0, 0.0])
-        with pytest.raises(DesignError, match="exceeds"):
-            dwell_times([0.5, 0.4], lip, bounds=[0.5, 0.39])
-
     def test_rejects_negative_constants(self):
         lip = self._constant_lip(1.0, -0.5, [1.0], [0.0])
         with pytest.raises(DesignError, match="non-negative"):

@@ -104,8 +104,9 @@ class TestMaxQuadraticOnSphere:
             9.0 * lam_max, rel=1e-12)
 
     def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError, match="radius"):
-            QuadraticBound(np.eye(2))([0.0, 0.0], -1.0)
+        for radius in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="radius"):
+                QuadraticBound(np.eye(2))([0.0, 0.0], radius)
 
     def test_repeated_queries_match_fresh_solves(self):
         P = np.diag([1.0, 4.0])
@@ -195,9 +196,10 @@ class TestMaxOnSphereGrid:
         with pytest.raises(ValueError, match="two-dimensional"):
             max_on_sphere_grid(lambda x: 0.0, [1.0, 2.0, 3.0], 1.0)
 
-    def test_rejects_too_few_samples(self):
-        with pytest.raises(ValueError, match="samples"):
-            max_on_sphere_grid(lambda x: 0.0, [0.0, 0.0], 1.0, samples=4)
+    def test_rejects_negative_or_non_finite_radius(self):
+        for radius in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="radius"):
+                max_on_sphere_grid(lambda x: 0.0, [0.0, 0.0], radius)
 
     def test_linear_field(self):
         # max of x + y on the unit circle around the origin is sqrt(2).
@@ -205,16 +207,17 @@ class TestMaxOnSphereGrid:
         assert value == pytest.approx(np.sqrt(2.0), rel=1e-10)
 
     def test_scan_visits_each_angle_as_one_point(self):
-        # The coarse scan hands the scalar field one planar point per
-        # angle k * 2 pi / samples, in order, then the 2 + 90 refinements.
+        # The coarse scan hands the scalar field one planar point for each
+        # of its 4096 angles k * 2 pi / 4096, in order, then the 2 + 90
+        # refinements.
         seen = []
 
         def field(x):
             seen.append(np.array(x))
             return float(x[0] - 2.0 * x[1])
 
-        center, radius, samples = np.array([0.3, -1.2]), 1.7, 64
-        max_on_sphere_grid(field, center, radius, samples=samples)
+        center, radius, samples = np.array([0.3, -1.2]), 1.7, 4096
+        max_on_sphere_grid(field, center, radius)
         assert len(seen) == samples + 92
         assert all(point.shape == (2,) for point in seen)
         step = 2.0 * np.pi / samples

@@ -115,6 +115,11 @@ class TestSpectralNorm:
         assert spectral_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
         assert spectral_norm(np.array([[3.0], [4.0]])) == pytest.approx(5.0)
 
+    def test_empty_and_higher_dimensional(self):
+        assert spectral_norm(np.zeros((0, 3))) == 0.0
+        with pytest.raises(ValueError):
+            spectral_norm(np.zeros((2, 2, 2)))
+
     def test_reactor_matrix_vs_power_iteration(self):
         # Independent oracle: power iteration on A^T A with a fixed start.
         G = A_REACTOR.T @ A_REACTOR

@@ -192,14 +192,5 @@ class TestNumericOracle:
 
     def test_horizon_abandonment_warns(self):
         with pytest.warns(RuntimeWarning, match="horizon"):
-            result = crossing_time_numeric(1.0, coeffs(1e-12, 0.0, 0.0), horizon=100.0)
+            result = crossing_time_numeric(1.0, coeffs(1e-12, 0.0, 0.0))
         assert result == math.inf
-
-    def test_explicit_step(self):
-        closed = crossing_time(0.5, coeffs(2.0, 1.0, 0.5))
-        assert crossing_time_numeric(0.5, coeffs(2.0, 1.0, 0.5), step=1e-3) == (
-            pytest.approx(closed, rel=1e-6))
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError, match="step"):
-            crossing_time_numeric(0.5, coeffs(1.0, 0.0, 0.0), step=0.0)

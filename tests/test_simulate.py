@@ -34,7 +34,7 @@ from etcontrol.simulate import (
     write_summary_json,
     write_trace_csv,
 )
-from etcontrol.verify import _same_step_members
+from etcontrol.verify import _same_step_members, matched_event_delta
 
 
 @pytest.fixture(scope="module")
@@ -385,6 +385,21 @@ class TestRunBatch:
         npt.assert_array_equal(a.events.sensor, b.events.sensor)
         npt.assert_array_equal(a.events.time, b.events.time)
 
+    def test_centralized_fires_at_extreme_scales(self):
+        # Past |x| of about 1.3e154 the sum of squares in the state norm
+        # overflows; the centralized reference must stay finite there.
+        base = run(batch_reactor(), mode="centralized", horizon=0.3)
+        for scale in (1e160, 1e300):
+            scaled = run(batch_reactor(), mode="centralized", horizon=0.3, scale=scale)
+            assert len(scaled.events) == len(base.events) > 0
+            assert matched_event_delta(base, scaled) <= base.meta["step"]
+
+    def test_divergence_raises_simulation_error(self):
+        # The plant overflows in its first step; numpy's overflow warnings
+        # must not escape in place of the typed error.
+        with pytest.raises(SimulationError, match="non-finite at t="):
+            run(batch_reactor(), horizon=0.01, scale=1e307)
+
     def test_centralized_dwell_is_redundant(self):
         with_dwell = run(batch_reactor(), mode="centralized", horizon=1.0)
         without = run(batch_reactor(), mode="centralized-nodwell", horizon=1.0)
@@ -486,11 +501,10 @@ class TestRunMembers:
         # first step while the other stays finite.
         scenario = batch_reactor()
         members = [dict(horizon=0.05), dict(horizon=0.05, scale=1e307)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SimulationError, match="non-finite at t=") as batched:
-                run_members(scenario, members)
-            with pytest.raises(SimulationError) as alone:
-                run(scenario, **members[1])
+        with pytest.raises(SimulationError, match="non-finite at t=") as batched:
+            run_members(scenario, members)
+        with pytest.raises(SimulationError) as alone:
+            run(scenario, **members[1])
         assert str(batched.value) == str(alone.value)
 
 
