@@ -6,10 +6,10 @@ non-negative coefficients. The minimum dwell time of a sensor is the time
 this solution needs to climb to its error-to-state threshold. Separation
 of variables gives the crossing time as ``integral 0..w of
 dphi / (a0 + a1 phi + a2 phi^2)``, evaluated here by one closed form,
-written so that no branch subtracts nearly equal quantities. Level and
-time are first rescaled by powers of two, which keeps the closed form in
-the float range unless the rate terms differ by more than about 1e150;
-those are evaluated in decimal arithmetic. A forward integrator,
+written so that no branch subtracts nearly equal quantities. It is
+evaluated in floats when the level and every nonzero coefficient lie in
+[2^-120, 2^120], where no product of the closed form leaves the normal
+float range, and in decimal arithmetic otherwise. A forward integrator,
 ``crossing_time_numeric``, serves as an independent oracle.
 """
 
@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 __all__ = ["RiccatiCoefficients", "crossing_time", "crossing_time_numeric"]
 
-# A scaled coefficient at least 2^-500 keeps every product of the closed
-# form in the normal float range; wider spreads go to decimal arithmetic.
-_SMALLEST_EXPONENT = -499
+# With the level and every nonzero coefficient in this range, the rate
+# terms a0 / w, a1 and a2 w span at most 2^480 and every product of the
+# closed form stays in the normal float range.
+_FLOAT_RANGE = (2.0 ** -120, 2.0 ** 120)
 _WIDE = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 # Integration time past which the numeric oracle abandons its search.
@@ -77,26 +78,10 @@ def crossing_time(level, coeffs):
         return 0.0
     if a0 == 0.0:
         return math.inf
-    # With w = m 2^p, measure the level in units of 2^p and time in units
-    # of 2^q. The ODE becomes psi' = b0 + b1 psi + b2 psi^2 with
-    # b0 = a0 2^(q-p), b1 = a1 2^q and b2 = a2 2^(q+p), and q puts the
-    # largest b in [1/2, 1). Powers of two scale every intermediate of the
-    # closed form exactly, so the result is bit for bit the unscaled one
-    # wherever that one stays in the float range. e0, e1 and e2 are the
-    # binary exponents of a0 / w, a1 and a2 w; a zero coefficient repeats
-    # a0's.
-    m, p = math.frexp(w)
-    e0 = math.frexp(a0)[1] - p
-    e1 = math.frexp(a1)[1] if a1 > 0.0 else e0
-    e2 = math.frexp(a2)[1] + p if a2 > 0.0 else e0
-    q = -max(e0, e1, e2)
-    if min(e0, e1, e2) + q < _SMALLEST_EXPONENT:
-        return _closed_form_wide(w, a0, a1, a2)
-    t = _closed_form(m, math.ldexp(a0, q - p), math.ldexp(a1, q), math.ldexp(a2, q + p))
-    try:
-        return math.ldexp(t, q)
-    except OverflowError:
-        return math.inf
+    low, high = _FLOAT_RANGE
+    if all(low <= v <= high for v in (w, a0, a1, a2) if v > 0.0):
+        return _closed_form(w, a0, a1, a2)
+    return _closed_form_wide(w, a0, a1, a2)
 
 
 def _closed_form(w, a0, a1, a2):
@@ -122,8 +107,9 @@ def _closed_form(w, a0, a1, a2):
 def _closed_form_wide(w, a0, a1, a2):
     """``_closed_form`` in 60-digit decimals with an unbounded exponent.
 
-    For coefficients whose rate terms differ by more than about 1e150,
-    where no single power-of-two scaling keeps the float products normal.
+    For a level or a nonzero coefficient outside ``_FLOAT_RANGE``, where
+    float products can underflow or overflow; a result beyond the largest
+    float rounds to ``math.inf``.
     """
     with decimal.localcontext(_WIDE):
         w, a0, a1, a2 = (decimal.Decimal(v) for v in (w, a0, a1, a2))

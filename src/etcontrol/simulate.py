@@ -269,8 +269,7 @@ class _Member:
         self.level = level
         self.P = design.P if cert is None else cert.quadratic
         self.bound = QuadraticBound(self.P) if mode == "feedback" else None
-        self.last_transmit = np.where(
-            np.isfinite(config.dwells), -config.dwells, -np.inf)
+        self.last_transmit = -config.dwells
         self.states = np.empty((n_steps + 1, model.state_dim))
         self.samples = np.empty_like(self.states)
         self.events = []
@@ -321,10 +320,17 @@ class _Member:
             "event_timing": "triggers are evaluated at step boundaries and events "
                             "carry the boundary timestamp",
         }
+        # Once x^T P x overflows, inf products of P's mixed-sign entries can
+        # cancel to NaN; such rows are rescaled by peak = max |x_i| instead.
+        lyapunov = np.einsum("ki,ij,kj->k", self.states, self.P, self.states)
+        wide = ~np.isfinite(lyapunov)
+        if wide.any():
+            peak = np.abs(self.states[wide]).max(axis=1)
+            u = self.states[wide] / peak[:, None]
+            lyapunov[wide] = peak * (peak * np.einsum("ki,ij,kj->k", u, self.P, u))
         return SimulationTrace(
             times=np.arange(self.n_steps + 1) * self.h, states=self.states,
-            samples=self.samples,
-            lyapunov=np.einsum("ki,ij,kj->k", self.states, self.P, self.states),
+            samples=self.samples, lyapunov=lyapunov,
             events=np.array(self.events, dtype=EVENT_DTYPE).view(np.recarray),
             updates=self.updates, containment=self.containment, meta=meta)
 
@@ -401,27 +407,28 @@ def run_members(scenario, members, step=None):
         raise ValueError("need at least one member")
     if len(members) > 1 and any(m.get("mode") == "feedback" for m in members):
         raise ValueError("feedback mode runs only as a single member")
-    runs = [_Member(scenario, step, **m) for m in members]
-    ordered = sorted(runs, key=lambda m: -m.n_steps)
-    model = scenario.model
-    h = ordered[0].h
-    n_max = ordered[0].n_steps
-    single = len(ordered) == 1
-    if single:
-        x = ordered[0].x0
-        held = ordered[0].held
-    else:
-        x = np.column_stack([m.x0 for m in ordered])
-        held = np.column_stack([m.held for m in ordered])
-        for j, m in enumerate(ordered):
-            m.held = held[:, j]
-    # Members whose horizon reaches boundary k are the first ``active``.
-    active = len(ordered)
-    held_active = held
-
-    # A diverging state overflows inside the plant callbacks; the finiteness
-    # check after each step reports it as a SimulationError instead.
+    # A scaled start, a diverging state or a certificate value can overflow;
+    # the start's certificate check, the finiteness check after each step
+    # and the trace's quadratic values turn that into typed errors or inf.
     with np.errstate(over="ignore", invalid="ignore"):
+        runs = [_Member(scenario, step, **m) for m in members]
+        ordered = sorted(runs, key=lambda m: -m.n_steps)
+        model = scenario.model
+        h = ordered[0].h
+        n_max = ordered[0].n_steps
+        single = len(ordered) == 1
+        if single:
+            x = ordered[0].x0
+            held = ordered[0].held
+        else:
+            x = np.column_stack([m.x0 for m in ordered])
+            held = np.column_stack([m.held for m in ordered])
+            for j, m in enumerate(ordered):
+                m.held = held[:, j]
+        # Members whose horizon reaches boundary k are the first ``active``.
+        active = len(ordered)
+        held_active = held
+
         for k in range(n_max + 1):
             t = k * h
             for j in range(active):
@@ -459,7 +466,7 @@ def run_members(scenario, members, step=None):
             if not np.isfinite(x).all():
                 raise SimulationError(f"state became non-finite at t={(k + 1) * h:.6g}")
 
-    return [m.trace(scenario) for m in runs]
+        return [m.trace(scenario) for m in runs]
 
 
 def sensor_statistics(times_by_sensor, dwells, quantiles=QUANTILES):
@@ -634,8 +641,10 @@ def write_trace_csv(trace, path):
     header += [f"x{i + 1}" for i in range(dim)]
     header += [f"xs{i + 1}" for i in range(dim)]
     header += ["V", "Vdot"]
-    columns = (trace.times, trace.states, trace.samples, trace.lyapunov,
-               np.gradient(trace.lyapunov, trace.times))
+    # The rate next to an overflowed (inf) certificate value is NaN.
+    with np.errstate(invalid="ignore"):
+        rate = np.gradient(trace.lyapunov, trace.times)
+    columns = (trace.times, trace.states, trace.samples, trace.lyapunov, rate)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, trace.times.size, _CSV_BLOCK):

@@ -28,6 +28,9 @@ TIME_TINY_LINEAR = 6.931471805599453e+169  # w=1, (1e-170, 1e-170, 0): ln 2 / a1
 TIME_HUGE_A1 = 4.6051701859880914e-198  # w=1, (1, 1e200, 1): ~log1p(1e200) / 1e200
 TIME_WIDE_SPREAD = 1.0822149937072015e-157  # w=1e10, (1e-300, 1e160, 1)
 TIME_WIDE_COMPLEX = 1.2091995761561452e+150  # w=1, (1e-300, 1e-150, 1): arctan branch
+# w=2^120, (2^-120, 2^-118, 2^-120), on the edge of the float range, and the
+# same tuple with w, a0 and a2 one float outside it both round to this value.
+TIME_BOX_EDGE = 1.010673184766192e+36
 
 
 def coeffs(a0, a1, a2):
@@ -117,17 +120,18 @@ class TestClosedForm:
 
 class TestFloatRange:
     def test_tiny_coefficients(self):
-        # a1 * a1 underflows to 0 without scaling, giving 2 w / d, 4% off.
+        # In floats a1 * a1 underflows to 0, giving 2 w / d, 4% off.
         assert crossing_time(1.0, coeffs(1e-170, 1e-170, 0.0)) == pytest.approx(
             TIME_TINY_LINEAR, rel=1e-15)
 
     def test_huge_linear_coefficient(self):
-        # a1 * a1 overflows to inf without scaling, and g divides by zero.
+        # In floats a1 * a1 overflows to inf, and g divides by zero.
         assert crossing_time(1.0, coeffs(1.0, 1e200, 1.0)) == pytest.approx(
             TIME_HUGE_A1, rel=1e-15)
 
     def test_spread_beyond_one_scaling(self):
-        # Scaled so that a1 is near 1, a0 falls below the float range.
+        # The rate terms span 1e300 and more, beyond what any one
+        # power-of-two scaling keeps in the normal float range.
         assert crossing_time(1e10, coeffs(1e-300, 1e160, 1.0)) == pytest.approx(
             TIME_WIDE_SPREAD, rel=1e-15)
         assert crossing_time(1.0, coeffs(1e-300, 1e-150, 1.0)) == pytest.approx(
@@ -137,8 +141,16 @@ class TestFloatRange:
         # w / a0 = 1e600 s, which rounds to inf.
         assert crossing_time(1e300, coeffs(1e-300, 0.0, 0.0)) == math.inf
 
-    def test_scaling_is_exact_in_range(self):
-        # Power-of-two scaling must not move a single bit of in-range results.
+    def test_box_edge(self):
+        # The first tuple takes the float closed form, the second decimals.
+        inside = (2.0 ** 120, 2.0 ** -120, 2.0 ** -118, 2.0 ** -120)
+        outside = (math.nextafter(2.0 ** 120, math.inf), math.nextafter(2.0 ** -120, 0.0),
+                   2.0 ** -118, math.nextafter(2.0 ** -120, 0.0))
+        for w, *a in (inside, outside):
+            assert crossing_time(w, coeffs(*a)) == pytest.approx(TIME_BOX_EDGE, rel=1e-15)
+
+    def test_in_range_inputs_take_the_unscaled_closed_form(self):
+        # Inputs well inside the float range get the float closed form's bits.
         rng = np.random.default_rng(41)
         for _ in range(500):
             a = 10.0 ** rng.uniform(-6.0, 6.0, size=3)

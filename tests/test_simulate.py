@@ -315,6 +315,12 @@ class TestRunValidation:
         with pytest.raises(DesignError, match="exceeds the design"):
             run(cubic_oscillator(), scale=2.0, horizon=0.1)
 
+    def test_overflowing_initial_certificate_value(self):
+        # At scale 1e200 the start's x^T P x overflows; the start is refused
+        # with the typed error instead of a numpy overflow warning.
+        with pytest.raises(DesignError, match="exceeds the design"):
+            run(cubic_oscillator(), horizon=0.01, scale=1e200)
+
     def test_thresholds_above_caps_rejected(self):
         scenario = cubic_oscillator()
         base = design_scenario(scenario)
@@ -399,6 +405,34 @@ class TestRunBatch:
         # must not escape in place of the typed error.
         with pytest.raises(SimulationError, match="non-finite at t="):
             run(batch_reactor(), horizon=0.01, scale=1e307)
+
+    def test_overflowing_start_raises_simulation_error(self):
+        # Scaling x0 by 1e308 overflows before the first step.
+        with pytest.raises(SimulationError, match="non-finite at t="):
+            run(batch_reactor(), horizon=0.01, scale=1e308)
+
+    def test_overflowing_certificate_values_are_inf(self, tmp_path):
+        # x^T P x overflows near |x| = 1e200, where inf products of P's
+        # mixed-sign entries cancel to NaN unless rescaled. The CSV then
+        # gives the rate next to an inf value as NaN, without a warning.
+        trace = run(batch_reactor(), horizon=0.01, scale=1e200)
+        npt.assert_array_equal(trace.lyapunov[:2], [np.inf, np.inf])
+        assert not np.isnan(trace.lyapunov).any()
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        row = (tmp_path / "trace.csv").read_text().splitlines()[1]
+        assert row.endswith(",inf,nan")
+
+    @pytest.mark.parametrize("mode", ["decentralized", "centralized"])
+    def test_power_of_two_scaling_is_exact(self, mode):
+        # A power-of-two scale moves no bit of the run: states, events and
+        # certificate values scale exactly.
+        base = run(batch_reactor(), mode=mode, horizon=0.2)
+        for k in (10, -10, 300):
+            scaled = run(batch_reactor(), mode=mode, horizon=0.2, scale=2.0 ** k)
+            assert np.array_equal(scaled.states, 2.0 ** k * base.states)
+            npt.assert_array_equal(scaled.events.sensor, base.events.sensor)
+            npt.assert_array_equal(scaled.events.time, base.events.time)
+            assert np.array_equal(scaled.lyapunov, 4.0 ** k * base.lyapunov)
 
     def test_centralized_dwell_is_redundant(self):
         with_dwell = run(batch_reactor(), mode="centralized", horizon=1.0)
