@@ -322,6 +322,9 @@ def design_scenario(scenario):
         return design_lti(
             scenario.model.A, scenario.model.B, scenario.model.K,
             scenario.Q, scenario.theta, scenario.sigma)
+    for field in ("lipschitz", "level"):
+        if getattr(scenario, field) is None:
+            raise DesignError(f"certificate scenario {scenario.name!r} has no {field}")
     config = design_nonlinear(scenario.certificate, scenario.lipschitz, scenario.level)
     return DesignResult(
         config=config,

@@ -6,10 +6,10 @@ non-negative coefficients. The minimum dwell time of a sensor is the time
 this solution needs to climb to its error-to-state threshold. Separation
 of variables gives the crossing time as ``integral 0..w of
 dphi / (a0 + a1 phi + a2 phi^2)``, evaluated here by one closed form,
-written so that no branch subtracts nearly equal quantities. It is
-evaluated in floats when the level and every nonzero coefficient lie in
+written so that no branch subtracts nearly equal quantities. Its one
+body runs in floats when the level and every nonzero coefficient lie in
 [2^-120, 2^120], where no product of the closed form leaves the normal
-float range, and in decimal arithmetic otherwise. A forward integrator,
+float range, and on 60-digit decimals otherwise. A forward integrator,
 ``crossing_time_numeric``, serves as an independent oracle.
 """
 
@@ -27,6 +27,8 @@ __all__ = ["RiccatiCoefficients", "crossing_time", "crossing_time_numeric"]
 # closed form stays in the normal float range.
 _FLOAT_RANGE = (2.0 ** -120, 2.0 ** 120)
 _WIDE = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+# Below this, the wide log1p and atan keep only their leading series terms.
+_TINY = decimal.Decimal("1e-30")
 
 # Integration time past which the numeric oracle abandons its search.
 _HORIZON = 1e7
@@ -42,17 +44,14 @@ class RiccatiCoefficients:
 
     def __post_init__(self):
         for name in ("a0", "a1", "a2"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _non_negative(name, getattr(self, name)))
 
 
-def _validate_level(level):
-    level = float(level)
-    if not math.isfinite(level) or level < 0.0:
-        raise ValueError(f"crossing level must be finite and non-negative, got {level}")
-    return level
+def _non_negative(name, value):
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+    return value
 
 
 def crossing_time(level, coeffs):
@@ -72,7 +71,7 @@ def crossing_time(level, coeffs):
         level is 0, and ``math.inf`` when the flow never leaves zero
         (a0 = 0) or the exact time exceeds the largest float.
     """
-    w = _validate_level(level)
+    w = _non_negative("crossing level", level)
     a0, a1, a2 = coeffs.a0, coeffs.a1, coeffs.a2
     if w == 0.0:
         return 0.0
@@ -81,55 +80,47 @@ def crossing_time(level, coeffs):
     low, high = _FLOAT_RANGE
     if all(low <= v <= high for v in (w, a0, a1, a2) if v > 0.0):
         return _closed_form(w, a0, a1, a2)
-    return _closed_form_wide(w, a0, a1, a2)
+    with decimal.localcontext(_WIDE):
+        wide = (decimal.Decimal(v) for v in (w, a0, a1, a2))
+        return float(_closed_form(*wide, sqrt=decimal.Decimal.sqrt,
+                                  log1p=_log1p_wide, atan2=_atan2_wide))
 
 
-def _closed_form(w, a0, a1, a2):
-    """The crossing-time integral in closed form, for a0 > 0 and w > 0."""
+def _closed_form(w, a0, a1, a2, sqrt=math.sqrt, log1p=math.log1p, atan2=math.atan2):
+    """The crossing-time integral in closed form, for a0 > 0 and w > 0.
+
+    One body serves two arithmetics: floats with the ``math`` defaults,
+    and ``decimal.Decimal`` inputs with ``Decimal.sqrt`` and the wide
+    helpers below, for levels or coefficients outside ``_FLOAT_RANGE``.
+    """
     # With D = a1^2 - 4 a0 a2, d = 2 a0 + a1 w and s = sqrt|D|, the
     # integral is log((d + s w) / (d - s w)) / s for D > 0 and
     # 2 atan(s w / d) / s for D < 0; both tend to 2 w / d as D -> 0.
     # The denominator g = d - s w cancels when a0 a2 << a1^2 (s ~ a1 and
     # d ~ a1 w), so it is formed as (d^2 - D w^2) / (d + s w), whose
     # numerator expands to the positive sum 4 a0 (a0 + a1 w + a2 w^2).
-    disc = a1 * a1 - 4.0 * a0 * a2
-    d = 2.0 * a0 + a1 * w
-    s = math.sqrt(abs(disc))
-    if disc > 0.0:
+    disc = a1 * a1 - 4 * a0 * a2
+    d = 2 * a0 + a1 * w
+    s = sqrt(abs(disc))
+    if disc > 0:
         r = s * w
-        g = 4.0 * a0 * (a0 + a1 * w + a2 * w * w) / (d + r)
-        return math.log1p(2.0 * r / g) / s
-    if disc < 0.0:
-        return 2.0 * math.atan2(s * w, d) / s
-    return 2.0 * w / d
+        g = 4 * a0 * (a0 + a1 * w + a2 * w * w) / (d + r)
+        return log1p(2 * r / g) / s
+    if disc < 0:
+        return 2 * atan2(s * w, d) / s
+    return 2 * w / d
 
 
-def _closed_form_wide(w, a0, a1, a2):
-    """``_closed_form`` in 60-digit decimals with an unbounded exponent.
+def _log1p_wide(x):
+    """Decimal log1p: x - x^2/2 + O(x^3) is exact to 60 digits below 1e-30."""
+    return x * (1 - x / 2) if x < _TINY else (1 + x).ln()
 
-    For a level or a nonzero coefficient outside ``_FLOAT_RANGE``, where
-    float products can underflow or overflow; a result beyond the largest
-    float rounds to ``math.inf``.
-    """
-    with decimal.localcontext(_WIDE):
-        w, a0, a1, a2 = (decimal.Decimal(v) for v in (w, a0, a1, a2))
-        disc = a1 * a1 - 4 * a0 * a2
-        d = 2 * a0 + a1 * w
-        s = abs(disc).sqrt()
-        tiny = decimal.Decimal("1e-30")
-        if disc > 0:
-            r = s * w
-            g = 4 * a0 * (a0 + a1 * w + a2 * w * w) / (d + r)
-            x = 2 * r / g
-            # log1p(x) = x - x^2/2 + O(x^3), exact to 60 digits below tiny.
-            return float((x * (1 - x / 2) if x < tiny else (1 + x).ln()) / s)
-        if disc < 0:
-            # atan(y) = y - y^3/3 + ... below tiny and pi/2 - 1/y + ...
-            # above 1/tiny; in between a float atan is accurate.
-            y = min(s * w / d, 1 / tiny)
-            angle = y if y < tiny else decimal.Decimal(math.atan(float(y)))
-            return float(2 * angle / s)
-        return float(2 * w / d)
+
+def _atan2_wide(y, x):
+    """Decimal atan(y / x) for y, x > 0: t - t^3/3 + ... below 1e-30,
+    pi/2 - 1/t + ... above 1e30, and an accurate float atan in between."""
+    t = min(y / x, 1 / _TINY)
+    return t if t < _TINY else decimal.Decimal(math.atan(float(t)))
 
 
 def _rk4_trial(phi, h, a0, a1, a2):
@@ -190,7 +181,7 @@ def crossing_time_numeric(level, coeffs):
     float
         Crossing time, or ``math.inf`` when unreachable.
     """
-    w = _validate_level(level)
+    w = _non_negative("crossing level", level)
     a0, a1, a2 = coeffs.a0, coeffs.a1, coeffs.a2
     if w == 0.0:
         return 0.0

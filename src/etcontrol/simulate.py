@@ -231,8 +231,6 @@ class _Member:
         if mode == "feedback":
             if cert is None or lip is None:
                 raise DesignError("feedback mode needs a certificate and Lipschitz data")
-            if level is None:
-                raise DesignError("feedback mode needs a design level to shrink")
             if schedule is None:
                 schedule = DEFAULT_SCHEDULE
 
@@ -241,21 +239,21 @@ class _Member:
         if x.shape != (model.state_dim,) or x_s.shape != (model.state_dim,):
             raise DesignError("initial conditions must be state-dimension vectors")
 
-        caps = None
         if cert is None:
             caps = lti_threshold_caps(design.P, model.B, model.K, design.q_min,
                                       design.sigma, design.theta)
-        elif level is not None:
+        elif level is None:
+            raise DesignError("a certificate scenario needs a design made at a level")
+        else:
             initial_value = float(cert.value(x))
             if initial_value > level * (1.0 + 1e-12):
                 raise DesignError(
                     f"initial certificate value {initial_value:.6g} exceeds the design "
                     f"level {level:.6g}; the guarantees do not cover this start")
             caps = np.asarray(cert.threshold_bounds(level), dtype=float)
-        if caps is not None:
-            finite = np.isfinite(config.thresholds)
-            if np.any(config.thresholds[finite] > caps[finite] * (1.0 + 1e-9)):
-                raise DesignError("trigger thresholds exceed their admissible bounds")
+        finite = np.isfinite(config.thresholds)
+        if np.any(config.thresholds[finite] > caps[finite] * (1.0 + 1e-9)):
+            raise DesignError("trigger thresholds exceed their admissible bounds")
 
         self.design = design
         self.mode = mode
@@ -535,6 +533,10 @@ def summarize(trace, quantiles=QUANTILES):
     initial dwell time divided by its mean gap, and ``gap_quantiles``
     samples the cumulative distribution of the gaps at the requested
     probabilities.
+
+    A ``null`` ``initial_value`` or ``final_value`` in the written JSON
+    means the certificate value overflowed: for a finite state it is
+    finite or ``inf``, never NaN.
 
     Returns a JSON-ready dict.
     """

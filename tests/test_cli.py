@@ -219,6 +219,19 @@ class TestSimulateCommand:
             assert "finite" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_overflowed_certificate_value_is_null_in_summary(self, tmp_path, capsys):
+        # x^T P x overflows at this scale: the trace holds inf, and strict
+        # JSON can only write null, which therefore means overflow.
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--model", "batch_reactor", "--scale", "1e200",
+                        "--horizon", "0.01", "--out", str(out)]) == 0
+        assert "inf initial" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["initial_value"] is None and summary["final_value"] is None
+        rows = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()]
+        column = rows[0].index("V")
+        assert {row[column] for row in rows[1:]} == {"inf"}
+
     def test_unwritable_out_is_io_failure(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")

@@ -193,6 +193,12 @@ class TestCubicOscillator:
         with pytest.raises(DesignError, match="level"):
             cubic_oscillator(level=0.0)
 
+    @pytest.mark.parametrize("field", ["level", "lipschitz"])
+    def test_design_names_a_missing_certificate_field(self, field):
+        scenario = dataclasses.replace(cubic_oscillator(), **{field: None})
+        with pytest.raises(DesignError, match=f"has no {field}"):
+            design_scenario(scenario)
+
     def test_callbacks_on_state_columns(self):
         # A batch of members holds its states as (2, B) columns; each
         # column must follow the one-state callbacks to roundoff.

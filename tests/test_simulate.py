@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import json
 
 import numpy as np
 import numpy.testing as npt
@@ -25,10 +26,12 @@ from etcontrol.simulate import (
     SimulationTrace,
     containment_margins,
     decay_excess,
+    dump_json,
     rk4_step,
     run,
     run_members,
     summarize,
+    summary_from_events,
     transmissions_due,
     write_events_json,
     write_summary_json,
@@ -331,6 +334,26 @@ class TestRunValidation:
             theta=base.theta, level=base.level)
         with pytest.raises(DesignError, match="admissible"):
             run(scenario, design=forged, horizon=0.1)
+
+    def test_levelless_certificate_design_rejected(self):
+        # Without a level, neither the start nor the thresholds could be
+        # checked; doubled thresholds and a start at V(x0) = 77.2 > c = 10
+        # used to run.
+        scenario = cubic_oscillator()
+        levelless = dataclasses.replace(design_scenario(scenario), level=None)
+        doubled = dataclasses.replace(levelless, config=TriggerConfig(
+            2.0 * levelless.config.thresholds, levelless.config.dwells))
+        for mode in ("decentralized", "feedback"):
+            with pytest.raises(DesignError, match="design made at a level"):
+                run(scenario, design=doubled, mode=mode, horizon=0.1)
+        with pytest.raises(DesignError, match="design made at a level"):
+            run(scenario, design=levelless, horizon=0.1, scale=3.0)
+
+    @pytest.mark.parametrize("field", ["level", "lipschitz"])
+    def test_malformed_certificate_scenario_rejected(self, field):
+        scenario = dataclasses.replace(cubic_oscillator(), **{field: None})
+        with pytest.raises(DesignError, match=f"has no {field}"):
+            run(scenario, horizon=0.1)
 
     def test_lti_thresholds_above_caps_rejected(self):
         scenario = batch_reactor()
@@ -727,6 +750,29 @@ class TestSummarize:
         assert doc["level"] == 10.0
         assert doc["initial_value"] == pytest.approx(8.574, abs=1e-6)
         assert doc["updates"] == 0
+
+
+class TestSummaryFromEvents:
+    def test_feedback_event_log_reproduces_summary(self, fb, tmp_path):
+        _, trace = fb
+        write_events_json(trace, tmp_path / "events.json")
+        records = json.loads((tmp_path / "events.json").read_text())["events"]
+        assert any(r["type"] == "param_update" for r in records)
+        recomputed = summary_from_events(records, trace.meta["dwells"])
+        assert dump_json(recomputed) == dump_json(summarize(trace)["sensors"])
+
+    def test_param_updates_are_skipped(self):
+        transmissions = [{"type": "transmission", "t": t, "sensor": 0}
+                         for t in (0.0, 1.0, 3.0)]
+        update = {"type": "param_update", "t": 2.0, "V_sampled": 1.0,
+                  "w": [0.1], "T": [0.5]}
+        assert (summary_from_events(transmissions + [update], [0.5])
+                == summary_from_events(transmissions, [0.5]))
+
+    def test_unknown_sensor_is_named(self):
+        records = [{"type": "transmission", "t": 0.0, "sensor": 2}]
+        with pytest.raises(ValueError, match="sensor 2"):
+            summary_from_events(records, [0.5, 0.5])
 
 
 class TestDiagnostics:
