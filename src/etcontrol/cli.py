@@ -50,6 +50,16 @@ _CONFIG_KEYS = frozenset({
     "model", "mode", "step", "horizon", "scale", "scales", "out", "sigma",
     "theta", "level", "update_dwell", "update_decay", "quantiles",
 })
+# Config keys holding a string or a list of numbers; the others hold a number.
+_CONFIG_STRINGS = ("model", "mode", "out")
+_CONFIG_LISTS = ("scales", "theta", "quantiles")
+
+
+def _float(value, what):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
 
 
 def _floats(value, what):
@@ -58,10 +68,10 @@ def _floats(value, what):
         parts = [p for p in value.split(",") if p.strip()]
         if not parts:
             raise ValueError(f"{what} must list at least one number")
-        return [float(p) for p in parts]
+        return [_float(p, what) for p in parts]
     if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(value)]
+        return [_float(v, what) for v in value]
+    return [_float(value, what)]
 
 
 def _load_config(path):
@@ -72,6 +82,12 @@ def _load_config(path):
     unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        if value is None or isinstance(value, str) and key in _CONFIG_STRINGS:
+            continue
+        if key in _CONFIG_STRINGS:
+            raise ValueError(f"{key} must be a string, got {value!r}")
+        data[key] = (_floats if key in _CONFIG_LISTS else _float)(value, key)
     return data
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "dwell_times",
     "design_nonlinear",
     "design_lti",
+    "lti_matrices",
     "lti_threshold_caps",
 ]
 
@@ -76,9 +77,16 @@ class LyapunovCertificate:
         object.__setattr__(self, "quadratic", P)
 
     def value(self, x):
-        """Certificate value ``x^T P x``."""
+        """Certificate value ``x^T P x``; ``inf`` when it overflows."""
         x = np.asarray(x, dtype=float)
-        return float(x @ self.quadratic @ x)
+        value = float(x @ self.quadratic @ x)
+        if not np.isfinite(value) and np.isfinite(x).all():
+            # Overflowing products of P's mixed-sign entries can cancel to
+            # -inf or NaN; rescaling by peak = max |x_i| keeps the sign.
+            peak = float(np.abs(x).max())
+            u = x / peak
+            value = peak * (peak * float(u @ self.quadratic @ u))
+        return value
 
 
 @dataclass(frozen=True)
@@ -260,6 +268,18 @@ def lti_threshold_caps(P, B, K, q_min, sigma, theta):
         return np.where(column_norms > 0.0, sigma * theta * q_min / column_norms, np.inf)
 
 
+def lti_matrices(A, B, K):
+    """``A, B, K`` as float arrays of shapes (n, n), (n, m) and (m, n)."""
+    A, B, K = (np.asarray(M, dtype=float) for M in (A, B, K))
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DesignError(f"A must be square, got shape {A.shape}")
+    if B.ndim != 2 or B.shape[0] != len(A):
+        raise DesignError(f"B must have {len(A)} rows, got shape {B.shape}")
+    if K.shape != B.shape[::-1]:
+        raise DesignError(f"K must have shape {B.shape[::-1]}, got {K.shape}")
+    return A, B, K
+
+
 def design_lti(A, B, K, Q, theta, sigma):
     """Trigger design for the LTI closed loop ``x' = (A + BK) x`` under
     zero-order-hold control ``u = K x_s``.
@@ -281,16 +301,8 @@ def design_lti(A, B, K, Q, theta, sigma):
     DesignResult
         Trigger configuration plus the certificate data (P, Q_min).
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    K = np.asarray(K, dtype=float)
+    A, B, K = lti_matrices(A, B, K)
     n = A.shape[0]
-    if A.shape != (n, n):
-        raise DesignError(f"A must be square, got shape {A.shape}")
-    if B.ndim != 2 or B.shape[0] != n:
-        raise DesignError(f"B must have {n} rows, got shape {B.shape}")
-    if K.ndim != 2 or K.shape != (B.shape[1], n):
-        raise DesignError(f"K must have shape {(B.shape[1], n)}, got {K.shape}")
     sigma = float(sigma)
     if not 0.0 < sigma < 1.0:
         raise DesignError(f"sigma must lie in (0, 1), got {sigma}")

@@ -28,9 +28,10 @@ from .design import (
     LyapunovCertificate,
     design_lti,
     design_nonlinear,
+    lti_matrices,
 )
 from .errors import DesignError
-from .linalg import is_hurwitz, spectral_norm, sym_eig
+from .linalg import spectral_norm, sym_eig
 
 __all__ = [
     "SystemModel",
@@ -72,6 +73,12 @@ class Scenario:
     Certificate scenarios also carry ``lipschitz``, which maps a level c
     to the ``LipschitzData`` on the sublevel set of c, and the ``level``
     the initial design is made at.
+
+    Construction converts the fields to floats and raises a ``DesignError``
+    naming a malformed one: ``x0`` and ``xs0`` must be finite vectors of
+    the state dimension, ``horizon``, ``step``, ``level`` and
+    ``feedback_step`` positive and finite, and a certificate needs
+    ``lipschitz`` and ``level``.
     """
 
     name: str
@@ -87,6 +94,31 @@ class Scenario:
     lipschitz: Optional[Callable[[float], LipschitzData]] = None
     level: Optional[float] = None
     feedback_step: Optional[float] = None
+
+    def __post_init__(self):
+        if self.certificate is not None and None in (self.lipschitz, self.level):
+            field = "lipschitz" if self.lipschitz is None else "level"
+            raise DesignError(f"certificate scenario {self.name!r} has no {field}")
+        for field in ("sigma", "horizon", "step", "level", "feedback_step"):
+            value = getattr(self, field)
+            if value is None and field in ("level", "feedback_step"):
+                continue
+            try:
+                value = float(value)
+            except (TypeError, ValueError):
+                raise DesignError(f"{field} must be a number, got {value!r}") from None
+            if field != "sigma" and not 0.0 < value < np.inf:
+                raise DesignError(f"{field} must be positive and finite, got {value}")
+            object.__setattr__(self, field, value)
+        state = (self.model.state_dim,)
+        for field, shape in (("Q", None), ("theta", None), ("x0", state), ("xs0", state)):
+            try:
+                value = np.asarray(getattr(self, field), dtype=float)
+            except (TypeError, ValueError):
+                raise DesignError(f"{field} must be an array of numbers") from None
+            if shape and (value.shape != shape or not np.isfinite(value).all()):
+                raise DesignError(f"{field} must be a finite state-dimension vector")
+            object.__setattr__(self, field, value)
 
 
 # Linearized batch-reactor benchmark (four states, two inputs) with a
@@ -110,9 +142,7 @@ BATCH_K = np.array([
 
 
 def _lti_model(A, B, K):
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    K = np.asarray(K, dtype=float)
+    A, B, K = lti_matrices(A, B, K)
 
     # ``dot`` reaches the same BLAS product as ``@`` with less call overhead.
     def f(x, u):
@@ -133,21 +163,13 @@ def _lti_model(A, B, K):
 
 
 def batch_reactor():
-    """The batch-reactor scenario: plant, controller, and design inputs."""
-    model = _lti_model(BATCH_A, BATCH_B, BATCH_K)
-    if not is_hurwitz(model.A + model.B @ model.K):
-        raise DesignError("batch reactor closed loop must be Hurwitz")
-    return Scenario(
-        name="batch_reactor",
-        model=model,
-        Q=np.eye(4),
-        theta=np.array([0.6, 0.17, 0.08, 0.15]),
-        sigma=0.95,
-        x0=np.array([4.0, 7.0, -4.0, 3.0]),
-        xs0=np.array([4.1, 7.2, -4.5, 2.0]),
-        horizon=10.0,
-        step=1e-4,
-    )
+    """The batch-reactor scenario, built from its ``load_lti`` document."""
+    return load_lti({
+        "name": "batch_reactor", "A": BATCH_A, "B": BATCH_B, "K": BATCH_K,
+        "Q": np.eye(4), "theta": [0.6, 0.17, 0.08, 0.15], "sigma": 0.95,
+        "x0": [4.0, 7.0, -4.0, 3.0], "xs0": [4.1, 7.2, -4.5, 2.0],
+        "horizon": 10.0, "step": 1e-4,
+    })
 
 
 # Cubic oscillator: x1' = x2, x2' = -x2 + x1^3 + u with sampled control
@@ -251,9 +273,6 @@ def lipschitz_bounds_cubic(level):
 
 def cubic_oscillator(level=10.0):
     """The cubic-oscillator scenario with certificate and Lipschitz data."""
-    level = float(level)
-    if level <= 0.0:
-        raise DesignError(f"level must be positive, got {level}")
     certificate = LyapunovCertificate(
         quadratic=CUBIC_P.copy(),
         threshold_bounds=_cubic_threshold_bounds,
@@ -282,7 +301,8 @@ def load_lti(source):
     """Build a custom LTI scenario from a mapping or the path of a JSON file.
 
     The document must supply ``A, B, K, Q, theta, sigma, x0, xs0,
-    horizon``; ``step`` and ``name`` are optional.
+    horizon``; ``step`` and ``name`` are optional. ``Scenario`` checks
+    the values.
     """
     if isinstance(source, Mapping):
         data = dict(source)
@@ -292,27 +312,11 @@ def load_lti(source):
     missing = [k for k in _LTI_KEYS if k not in data]
     if missing:
         raise ValueError(f"LTI scenario document missing keys: {', '.join(missing)}")
-    model = _lti_model(data["A"], data["B"], data["K"])
-    x0 = np.asarray(data["x0"], dtype=float)
-    xs0 = np.asarray(data["xs0"], dtype=float)
-    if x0.shape != (model.state_dim,) or xs0.shape != (model.state_dim,):
-        raise ValueError("x0 and xs0 must be state-dimension vectors")
-    horizon = float(data["horizon"])
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    step = float(data.get("step", 1e-4))
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
     return Scenario(
         name=str(data.get("name", "custom_lti")),
-        model=model,
-        Q=np.asarray(data["Q"], dtype=float),
-        theta=np.asarray(data["theta"], dtype=float),
-        sigma=float(data["sigma"]),
-        x0=x0,
-        xs0=xs0,
-        horizon=horizon,
-        step=step,
+        model=_lti_model(data["A"], data["B"], data["K"]),
+        step=data.get("step", 1e-4),
+        **{key: data[key] for key in _LTI_KEYS[3:]},
     )
 
 
@@ -322,9 +326,6 @@ def design_scenario(scenario):
         return design_lti(
             scenario.model.A, scenario.model.B, scenario.model.K,
             scenario.Q, scenario.theta, scenario.sigma)
-    for field in ("lipschitz", "level"):
-        if getattr(scenario, field) is None:
-            raise DesignError(f"certificate scenario {scenario.name!r} has no {field}")
     config = design_nonlinear(scenario.certificate, scenario.lipschitz, scenario.level)
     return DesignResult(
         config=config,
@@ -332,7 +333,7 @@ def design_scenario(scenario):
         q_min=float(sym_eig(scenario.Q)[0]),
         sigma=scenario.sigma,
         theta=scenario.theta,
-        level=float(scenario.level),
+        level=scenario.level,
     )
 
 

@@ -211,14 +211,11 @@ class _Member:
         if design is None:
             design = design_scenario(scenario)
         config = design.config
-        if mode == "feedback":
-            default_step = scenario.feedback_step or scenario.step
-        else:
-            default_step = scenario.step
-        h = float(step) if step is not None else float(default_step)
+        h = float(step) if step is not None else (
+            (mode == "feedback" and scenario.feedback_step) or scenario.step)
         if not h > 0.0:
             raise ValueError(f"step must be positive, got {h}")
-        span = float(horizon) if horizon is not None else float(scenario.horizon)
+        span = float(horizon) if horizon is not None else scenario.horizon
         if not (np.isfinite(span) and span > 0.0):
             raise ValueError(f"horizon must be positive and finite, got {span}")
         n_steps = int(round(span / h))
@@ -226,19 +223,14 @@ class _Member:
             raise ValueError("horizon must cover at least one step")
 
         cert = scenario.certificate
-        lip = scenario.lipschitz
         level = design.level
         if mode == "feedback":
-            if cert is None or lip is None:
+            if cert is None:
                 raise DesignError("feedback mode needs a certificate and Lipschitz data")
             if schedule is None:
                 schedule = DEFAULT_SCHEDULE
 
-        x = scale * np.asarray(scenario.x0, dtype=float)
-        x_s = scale * np.asarray(scenario.xs0, dtype=float)
-        if x.shape != (model.state_dim,) or x_s.shape != (model.state_dim,):
-            raise DesignError("initial conditions must be state-dimension vectors")
-
+        x = scale * scenario.x0
         if cert is None:
             caps = lti_threshold_caps(design.P, model.B, model.K, design.q_min,
                                       design.sigma, design.theta)
@@ -246,13 +238,13 @@ class _Member:
             raise DesignError("a certificate scenario needs a design made at a level")
         else:
             initial_value = float(cert.value(x))
-            if initial_value > level * (1.0 + 1e-12):
+            if not initial_value <= level * (1.0 + 1e-12):
                 raise DesignError(
                     f"initial certificate value {initial_value:.6g} exceeds the design "
                     f"level {level:.6g}; the guarantees do not cover this start")
             caps = np.asarray(cert.threshold_bounds(level), dtype=float)
         finite = np.isfinite(config.thresholds)
-        if np.any(config.thresholds[finite] > caps[finite] * (1.0 + 1e-9)):
+        if not np.all(config.thresholds[finite] <= caps[finite] * (1.0 + 1e-9)):
             raise DesignError("trigger thresholds exceed their admissible bounds")
 
         self.design = design
@@ -262,7 +254,7 @@ class _Member:
         self.h = h
         self.n_steps = n_steps
         self.x0 = x
-        self.held = x_s
+        self.held = scale * scenario.xs0
         self.config = config
         self.level = level
         self.P = design.P if cert is None else cert.quadratic

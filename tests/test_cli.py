@@ -35,6 +35,14 @@ RESTING_BATCH_MODEL = {
 }
 
 
+# Fields of the batch-reactor document that a malformed model replaces.
+MALFORMED_FIELDS = [
+    ("x0", [float("nan"), 7.0, -4.0, 3.0]), ("xs0", [1e400, 7.2, -4.5, 2.0]),
+    ("horizon", 1e400), ("step", 1e400), ("sigma", None), ("horizon", None),
+    ("step", [1e-4]), ("B", [1, 2, 3, 4]), ("A", 5.0),
+]
+
+
 def run_cli(argv):
     return cli.main(argv)
 
@@ -102,6 +110,15 @@ class TestDesignCommand:
         assert run_cli(["design", "--model", str(bad), "--out", str(out)]) == 1
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", MALFORMED_FIELDS,
+                             ids=[f"{f}={v!r}" for f, v in MALFORMED_FIELDS])
+    def test_malformed_model_field_is_named(self, tmp_path, capsys, field, value):
+        model = tmp_path / "plant.json"
+        model.write_text(json.dumps({**RESTING_BATCH_MODEL, field: value}))
+        assert run_cli(["design", "--model", str(model)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field} must")
 
     def test_missing_model_file_is_io_failure(self, tmp_path):
         assert run_cli(["design", "--model",
@@ -200,6 +217,24 @@ class TestSimulateCommand:
         capsys.readouterr()
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["sensors"][0]["gap_quantiles"]) == {"0.5"}
+
+    def test_nonfinite_start_is_validation_failure(self, tmp_path, capsys):
+        model = tmp_path / "plant.json"
+        model.write_text(json.dumps({**RESTING_BATCH_MODEL,
+                                     "x0": [float("nan"), 7.0, -4.0, 3.0]}))
+        assert run_cli(["simulate", "--model", str(model),
+                        "--out", str(tmp_path / "run")]) == 1
+        assert "error: x0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("step", [1e-4]), ("scale", {}), ("quantiles", {"a": 1})])
+    def test_config_value_of_wrong_type_is_named(self, tmp_path, capsys, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        assert run_cli(["simulate", "--model", "batch_reactor", "--config",
+                        str(config), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} must")
 
     def test_zeno_model_is_numerical_failure(self, tmp_path, capsys):
         model = tmp_path / "zeno.json"

@@ -163,6 +163,10 @@ class TestDesignLti:
         with pytest.raises(DesignError, match="one weight per sensor"):
             design_lti(A, B, K, np.eye(4), [0.5, 0.5], SIGMA)
 
+    def test_rejects_scalar_a(self):
+        with pytest.raises(DesignError, match="A must be square"):
+            design_lti(5.0, B, K, np.eye(4), THETA, SIGMA)
+
     def test_dwells_agree_with_numeric_oracle(self):
         result = design_lti(A, B, K, np.eye(4), THETA, SIGMA)
         w = result.config.thresholds

@@ -195,9 +195,8 @@ class TestCubicOscillator:
 
     @pytest.mark.parametrize("field", ["level", "lipschitz"])
     def test_design_names_a_missing_certificate_field(self, field):
-        scenario = dataclasses.replace(cubic_oscillator(), **{field: None})
         with pytest.raises(DesignError, match=f"has no {field}"):
-            design_scenario(scenario)
+            design_scenario(dataclasses.replace(cubic_oscillator(), **{field: None}))
 
     def test_callbacks_on_state_columns(self):
         # A batch of members holds its states as (2, B) columns; each
@@ -312,6 +311,20 @@ class TestValidateCertificate:
             dataclasses.replace(cert, quadratic=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+# The batch-reactor document with one malformed field, as (field, value).
+MALFORMED_FIELDS = [
+    ("x0", [math.nan, 7.0, -4.0, 3.0]),
+    ("xs0", [1e400, 7.2, -4.5, 2.0]),
+    ("horizon", 1e400),
+    ("step", 1e400),
+    ("sigma", None),
+    ("horizon", None),
+    ("step", [1e-4]),
+    ("B", [1, 2, 3, 4]),
+    ("A", 5.0),
+]
+
+
 class TestLoadLti:
     def _document(self):
         return {
@@ -335,6 +348,13 @@ class TestLoadLti:
         assert loaded.sigma == bundled.sigma
         assert loaded.step == 1e-4
         assert loaded.name == "custom_lti"
+        # The bundled scenario is a load_lti document too; pin its data.
+        npt.assert_array_equal(bundled.model.B, BATCH_B)
+        npt.assert_array_equal(bundled.model.K, BATCH_K)
+        npt.assert_array_equal(bundled.xs0, [4.1, 7.2, -4.5, 2.0])
+        npt.assert_array_equal(bundled.theta, [0.6, 0.17, 0.08, 0.15])
+        assert (bundled.horizon, bundled.step) == (10.0, 1e-4)
+        assert bundled.name == "batch_reactor"
         loaded_design = design_scenario(loaded)
         bundled_design = design_scenario(bundled)
         npt.assert_array_equal(
@@ -369,6 +389,33 @@ class TestLoadLti:
         doc["horizon"] = 0.0
         with pytest.raises(ValueError, match="horizon"):
             load_lti(doc)
+
+    @pytest.mark.parametrize("field, value", MALFORMED_FIELDS,
+                             ids=[f"{f}={v!r}" for f, v in MALFORMED_FIELDS])
+    def test_malformed_field_is_named(self, field, value):
+        doc = self._document()
+        doc[field] = value
+        with pytest.raises(DesignError, match=f"^{field} must"):
+            load_lti(doc)
+
+
+class TestScenario:
+    @pytest.mark.parametrize("field, value", [
+        ("x0", [1.0]), ("xs0", [0.0, math.inf]), ("x0", None), ("theta", {"a": 1}),
+        ("sigma", None), ("sigma", [0.9]), ("horizon", -1.0), ("step", math.nan),
+        ("feedback_step", 0.0), ("level", math.inf), ("level", "ten"),
+    ])
+    def test_malformed_field_is_named(self, field, value):
+        with pytest.raises(DesignError, match=f"^{field} must"):
+            dataclasses.replace(cubic_oscillator(), **{field: value})
+
+    def test_numbers_written_as_strings_are_converted(self):
+        scenario = dataclasses.replace(
+            cubic_oscillator(), x0=["2.8", "-2.6"], horizon="2.5", level="10")
+        npt.assert_array_equal(scenario.x0, cubic_oscillator().x0)
+        assert scenario.horizon == 2.5 and scenario.level == 10.0
+        assert design_scenario(scenario).to_dict() == \
+            design_scenario(cubic_oscillator()).to_dict()
 
 
 class TestScenarioLookup:

@@ -9,7 +9,8 @@ import numpy.testing as npt
 import pytest
 from scipy.linalg import expm
 
-from etcontrol.design import DesignResult, TriggerConfig
+from etcontrol import models
+from etcontrol.design import DesignResult, LyapunovCertificate, TriggerConfig
 from etcontrol.errors import DesignError, SimulationError
 from etcontrol.feedback import QuadraticBound, UpdateSchedule, containment_sphere
 from etcontrol.models import (
@@ -324,6 +325,19 @@ class TestRunValidation:
         with pytest.raises(DesignError, match="exceeds the design"):
             run(cubic_oscillator(), horizon=0.01, scale=1e200)
 
+    def test_overflowing_certificate_value_is_inf(self):
+        # x^T P x is about 1.1e401. Products of P's mixed-sign entries
+        # overflow and could cancel to -inf, letting this start pass.
+        cert = LyapunovCertificate([[2.0, -1.0], [-1.0, 2.0]],
+                                   models._cubic_threshold_bounds)
+        x0 = np.array([1e200, 2.1e200])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cert.value(x0) == np.inf
+        scenario = dataclasses.replace(cubic_oscillator(), certificate=cert,
+                                       x0=x0, xs0=x0)
+        with pytest.raises(DesignError, match="exceeds the design level"):
+            run(scenario, horizon=0.001)
+
     def test_thresholds_above_caps_rejected(self):
         scenario = cubic_oscillator()
         base = design_scenario(scenario)
@@ -351,9 +365,8 @@ class TestRunValidation:
 
     @pytest.mark.parametrize("field", ["level", "lipschitz"])
     def test_malformed_certificate_scenario_rejected(self, field):
-        scenario = dataclasses.replace(cubic_oscillator(), **{field: None})
         with pytest.raises(DesignError, match=f"has no {field}"):
-            run(scenario, horizon=0.1)
+            run(dataclasses.replace(cubic_oscillator(), **{field: None}), horizon=0.1)
 
     def test_lti_thresholds_above_caps_rejected(self):
         scenario = batch_reactor()
