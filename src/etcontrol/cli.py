@@ -16,13 +16,16 @@ sweep
     output directories and report event-sequence agreement.
 
 Models are referred to by bundled name or by the path of a JSON document
-describing a linear plant. A JSON config file can hold any flag value;
-explicit flags override the file. Exit codes: 0 success, 1 validation
+describing a linear plant. A JSON config file can hold any flag value.
+Each value is resolved once, before any command runs: the flag if given,
+else the config file, else the default, converted by the same rule
+whichever source it came from. Exit codes: 0 success, 1 validation
 failure, 2 numerical failure, 3 I/O failure. Files state durations in
 seconds; the console summaries use milliseconds.
 
 This module only resolves flags and config files, calls the library and
-writes files and console output; the checks live in :mod:`etcontrol.verify`.
+writes files and console output; the library checks the values, and the
+invariant checks live in :mod:`etcontrol.verify`.
 """
 
 import argparse
@@ -32,14 +35,13 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import verify
 from .errors import DesignError, SimulationError
 from .feedback import DEFAULT_SCHEDULE
 from .models import SCENARIO_NAMES, design_scenario, load_lti, scenario_by_name
-from .simulate import (MODES, QUANTILES, dump_json, run, summarize,
-                       write_events_json, write_summary_json, write_trace_csv)
+from .simulate import (MODES, QUANTILES, checked_quantiles, dump_json, run,
+                       summarize, write_events_json, write_summary_json,
+                       write_trace_csv)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -53,6 +55,10 @@ _CONFIG_KEYS = frozenset({
 # Config keys holding a string or a list of numbers; the others hold a number.
 _CONFIG_STRINGS = ("model", "mode", "out")
 _CONFIG_LISTS = ("scales", "theta", "quantiles")
+# Values of the keys left unset by both the flags and the config file;
+# every other key defaults to None.
+_DEFAULTS = {"mode": "decentralized", "scale": 1.0,
+             "scales": (0.001, 1.0, 1000.0), "quantiles": QUANTILES}
 
 
 def _float(value, what):
@@ -74,94 +80,68 @@ def _floats(value, what):
     return [_float(value, what)]
 
 
-def _load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    for key, value in data.items():
-        if value is None or isinstance(value, str) and key in _CONFIG_STRINGS:
-            continue
+def _settle(args):
+    """Set every config key on ``args`` once: the flag if given, else the
+    config-file value, else the default, converted by its key's kind."""
+    config = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(config) - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    # In a fixed order, so a run with two bad values always names the same one.
+    for key in sorted(_CONFIG_KEYS):
+        value = getattr(args, key, None)
+        if value is None:
+            value = config.get(key)
+        if value is None:
+            value = _DEFAULTS.get(key)
         if key in _CONFIG_STRINGS:
-            raise ValueError(f"{key} must be a string, got {value!r}")
-        data[key] = (_floats if key in _CONFIG_LISTS else _float)(value, key)
-    return data
-
-
-def _merged(args, key, default=None):
-    """Flag value if given, else the config-file value, else the default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    config = getattr(args, "config_data", None) or {}
-    if key in config and config[key] is not None:
-        return config[key]
-    return default
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{key} must be a string, got {value!r}")
+        elif value is not None:
+            value = (_floats if key in _CONFIG_LISTS else _float)(value, key)
+        setattr(args, key, value)
+    args.quantiles = checked_quantiles(args.quantiles)
 
 
 def _resolve_scenario(args):
-    """Build the scenario named by --model/--config, with overrides applied."""
-    model = _merged(args, "model")
+    """Build the scenario named by the model key, with overrides applied."""
+    model = args.model
     if model is None:
         raise ValueError("a model is required (--model NAME or --model path.json)")
-    model = str(model)
-    level = _merged(args, "level")
-    level = None if level is None else float(level)
-    if model in SCENARIO_NAMES:
-        scenario = scenario_by_name(model, level=level)
-    elif model.endswith(".json") or "/" in model or Path(model).exists():
+    if model not in SCENARIO_NAMES and (
+            model.endswith(".json") or "/" in model or Path(model).exists()):
         scenario = load_lti(model)
     else:
         scenario = scenario_by_name(model)
-    sigma = _merged(args, "sigma")
-    theta = _merged(args, "theta")
+    overrides = {key: getattr(args, key) for key in ("sigma", "theta", "level")
+                 if getattr(args, key) is not None}
     if scenario.certificate is not None:
-        if sigma is not None or theta is not None:
+        if "sigma" in overrides or "theta" in overrides:
             raise DesignError(
                 "sigma and theta are fixed by the stability certificate of "
                 f"{scenario.name} and cannot be overridden")
-    else:
-        if level is not None:
-            raise DesignError(
-                "a level applies only to scenarios with a stability certificate")
-        replacements = {}
-        if sigma is not None:
-            replacements["sigma"] = float(sigma)
-        if theta is not None:
-            replacements["theta"] = np.asarray(_floats(theta, "theta"), dtype=float)
-        if replacements:
-            scenario = dataclasses.replace(scenario, **replacements)
-    return scenario
+    elif "level" in overrides:
+        raise DesignError(
+            "a level applies only to scenarios with a stability certificate")
+    return dataclasses.replace(scenario, **overrides)
 
 
 def _run_options(args):
-    """Simulation options shared by the simulate and sweep subcommands."""
-    mode = str(_merged(args, "mode", "decentralized"))
-    step = _merged(args, "step")
-    horizon = _merged(args, "horizon")
+    """Keyword arguments of ``run`` shared by the simulate and sweep commands."""
     schedule = None
-    overrides = {}
-    for key in ("dwell", "decay"):
-        value = _merged(args, f"update_{key}")
-        if value is not None:
-            overrides[key] = float(value)
+    overrides = {key: getattr(args, f"update_{key}") for key in ("dwell", "decay")
+                 if getattr(args, f"update_{key}") is not None}
     if overrides:
-        if mode != "feedback":
+        if args.mode != "feedback":
             raise DesignError("update schedule options apply to feedback mode only")
         schedule = dataclasses.replace(DEFAULT_SCHEDULE, **overrides)
-    quantiles = _merged(args, "quantiles")
-    quantiles = QUANTILES if quantiles is None else tuple(
-        _floats(quantiles, "quantiles"))
-    return {
-        "mode": mode,
-        "step": None if step is None else float(step),
-        "horizon": None if horizon is None else float(horizon),
-        "schedule": schedule,
-        "quantiles": quantiles,
-    }
+    return {"mode": args.mode, "step": args.step, "horizon": args.horizon,
+            "schedule": schedule}
 
 
 def _ms(seconds):
@@ -199,9 +179,8 @@ def cmd_design(args):
     """Emit the trigger design for a model as a JSON document."""
     scenario = _resolve_scenario(args)
     design = design_scenario(scenario)
-    out = _merged(args, "out")
-    text = dump_json(design.to_dict(), out)
-    if out is None:
+    text = dump_json(design.to_dict(), args.out)
+    if args.out is None:
         sys.stdout.write(text)
     return EXIT_OK
 
@@ -210,16 +189,12 @@ def cmd_simulate(args):
     """Run one closed-loop simulation and write its artifacts."""
     scenario = _resolve_scenario(args)
     options = _run_options(args)
-    scale = float(_merged(args, "scale", 1.0))
-    out = _merged(args, "out")
-    if out is None:
+    if args.out is None:
         raise ValueError("simulate requires an output directory (--out)")
     design = design_scenario(scenario)
-    trace = run(scenario, design=design, mode=options["mode"],
-                step=options["step"], horizon=options["horizon"], scale=scale,
-                schedule=options["schedule"])
-    summary = summarize(trace, quantiles=options["quantiles"])
-    out_dir = _write_run_outputs(trace, summary, out)
+    trace = run(scenario, design=design, scale=args.scale, **options)
+    summary = summarize(trace, quantiles=args.quantiles)
+    out_dir = _write_run_outputs(trace, summary, args.out)
     _print_run_summary(summary)
     print(f"wrote {out_dir / 'trace.csv'}, {out_dir / 'events.json'}, "
           f"{out_dir / 'summary.json'}")
@@ -230,7 +205,7 @@ def cmd_sweep(args):
     """Run the scenario once per scale and compare the event sequences."""
     scenario = _resolve_scenario(args)
     options = _run_options(args)
-    scales = _floats(_merged(args, "scales", "0.001,1.0,1000.0"), "scales")
+    scales = args.scales
     if len(scales) < 2:
         raise ValueError("a sweep needs at least two scales")
     if not all(math.isfinite(scale) and scale > 0.0 for scale in scales):
@@ -238,19 +213,16 @@ def cmd_sweep(args):
     names = [f"scale-{scale:g}" for scale in scales]
     if len(set(names)) < len(names):
         raise ValueError(f"scales must have distinct output directories, got {names}")
-    out = _merged(args, "out")
-    if out is None:
+    if args.out is None:
         raise ValueError("sweep requires an output directory (--out)")
     design = design_scenario(scenario)
-    out_dir = Path(out)
+    out_dir = Path(args.out)
     runs = []
     base = None
     max_delta = 0.0
     for scale, name in zip(scales, names):
-        trace = run(scenario, design=design, mode=options["mode"],
-                    step=options["step"], horizon=options["horizon"],
-                    scale=scale, schedule=options["schedule"])
-        summary = summarize(trace, quantiles=options["quantiles"])
+        trace = run(scenario, design=design, scale=scale, **options)
+        summary = summarize(trace, quantiles=args.quantiles)
         _write_run_outputs(trace, summary, out_dir / name)
         step = trace.meta["step"]
         if base is None:
@@ -273,7 +245,7 @@ def cmd_sweep(args):
     }
     report = {
         "scenario": scenario.name,
-        "mode": options["mode"],
+        "mode": args.mode,
         "scales": scales,
         "runs": runs,
         "agreement": agreement,
@@ -294,12 +266,12 @@ def cmd_sweep(args):
 def cmd_verify(args):
     """Run the invariant battery of :mod:`etcontrol.verify` and report the
     results as JSON; the exit code states whether every check passed."""
-    if _merged(args, "model") is None:
+    if args.model is None:
         scenarios = [scenario_by_name(n) for n in SCENARIO_NAMES]
     else:
         scenarios = [_resolve_scenario(args)]
     report = verify.report(scenarios)
-    sys.stdout.write(dump_json(report, _merged(args, "out")))
+    sys.stdout.write(dump_json(report, args.out))
     return EXIT_OK if report["pass"] else EXIT_VALIDATION
 
 
@@ -319,18 +291,18 @@ def build_parser():
                        "(simulate, sweep)")
 
     def add_overrides(p):
-        p.add_argument("--sigma", type=float, help="decay share left to the "
+        p.add_argument("--sigma", help="decay share left to the "
                        "triggers (linear models only)")
         p.add_argument("--theta", help="comma-separated per-sensor weights "
                        "(linear models only)")
-        p.add_argument("--level", type=float, help="certificate level bounding "
+        p.add_argument("--level", help="certificate level bounding "
                        "the operating region (certificate models only)")
 
     def add_run_flags(p):
         p.add_argument("--mode", choices=MODES, help="trigger mode "
                        "(default decentralized)")
-        p.add_argument("--step", type=float, help="integration step in seconds")
-        p.add_argument("--horizon", type=float, help="simulated span in seconds")
+        p.add_argument("--step", help="integration step in seconds")
+        p.add_argument("--horizon", help="simulated span in seconds")
         p.add_argument("--quantiles", help="comma-separated probabilities for "
                        "the gap distribution summary")
 
@@ -344,11 +316,11 @@ def build_parser():
     add_common(p_sim)
     add_overrides(p_sim)
     add_run_flags(p_sim)
-    p_sim.add_argument("--scale", type=float, help="initial-condition scale "
+    p_sim.add_argument("--scale", help="initial-condition scale "
                        "(default 1)")
-    p_sim.add_argument("--update-dwell", type=float, dest="update_dwell",
+    p_sim.add_argument("--update-dwell", dest="update_dwell",
                        help="least time between parameter updates (feedback mode)")
-    p_sim.add_argument("--update-decay", type=float, dest="update_decay",
+    p_sim.add_argument("--update-decay", dest="update_decay",
                        help="level fraction required before an update "
                        "(feedback mode)")
     p_sim.set_defaults(func=cmd_simulate)
@@ -378,7 +350,7 @@ def main(argv=None):
         code = exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
         return EXIT_OK if code == 0 else EXIT_VALIDATION
     try:
-        args.config_data = _load_config(args.config) if args.config else {}
+        _settle(args)
         return args.func(args)
     except (DesignError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

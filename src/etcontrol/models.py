@@ -340,10 +340,10 @@ def design_scenario(scenario):
 SCENARIO_NAMES = ("batch_reactor", "cubic_oscillator")
 
 
-def scenario_by_name(name, level=None):
-    """Look up a bundled scenario by its CLI name."""
+def scenario_by_name(name):
+    """Look up a bundled scenario, with its default fields, by its CLI name."""
     if name == "batch_reactor":
         return batch_reactor()
     if name == "cubic_oscillator":
-        return cubic_oscillator() if level is None else cubic_oscillator(level)
+        return cubic_oscillator()
     raise ValueError(f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}")

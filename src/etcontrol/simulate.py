@@ -260,13 +260,18 @@ class _Member:
         self.P = design.P if cert is None else cert.quadratic
         self.bound = QuadraticBound(self.P) if mode == "feedback" else None
         self.last_transmit = -config.dwells
-        self.states = np.empty((n_steps + 1, model.state_dim))
-        self.samples = np.empty_like(self.states)
+        try:
+            self.states = np.empty((n_steps + 1, model.state_dim))
+            self.samples = np.empty_like(self.states)
+            self.containment = np.recarray(n_steps + 1 if mode == "feedback" else 0,
+                                           dtype=containment_dtype(model.state_dim))
+        except MemoryError:
+            raise ValueError(
+                f"horizon {span:g} at step {h:g} needs {n_steps + 1} boundaries, "
+                "more than memory holds") from None
         self.events = []
         self.updates = []
         self.consecutive_firing = 0
-        self.containment = np.recarray(n_steps + 1 if mode == "feedback" else 0,
-                                       dtype=containment_dtype(model.state_dim))
         self.W = config.threshold_norm
         self.ball = None
         self.last_update = 0.0
@@ -459,6 +464,14 @@ def run_members(scenario, members, step=None):
         return [m.trace(scenario) for m in runs]
 
 
+def checked_quantiles(quantiles):
+    """The probabilities as a tuple of floats, each checked to lie in [0, 1]."""
+    quantiles = tuple(float(q) for q in quantiles)
+    if any(not 0.0 <= q <= 1.0 for q in quantiles):
+        raise ValueError("quantiles must lie in [0, 1]")
+    return quantiles
+
+
 def sensor_statistics(times_by_sensor, dwells, quantiles=QUANTILES):
     """Gap statistics for each sensor's transmission times.
 
@@ -469,9 +482,7 @@ def sensor_statistics(times_by_sensor, dwells, quantiles=QUANTILES):
     samples the cumulative distribution of the gaps at the requested
     probabilities.
     """
-    quantiles = tuple(float(q) for q in quantiles)
-    if any(not 0.0 <= q <= 1.0 for q in quantiles):
-        raise ValueError("quantiles must lie in [0, 1]")
+    quantiles = checked_quantiles(quantiles)
     sensors = []
     for i, raw_times in enumerate(times_by_sensor):
         event_times = np.asarray(raw_times, dtype=float)

@@ -15,7 +15,7 @@ from etcontrol.design import design_lti
 from etcontrol.feedback import UpdateSchedule
 from etcontrol.models import BATCH_A, BATCH_B, BATCH_K, design_scenario, \
     scenario_by_name
-from etcontrol.simulate import SimulationTrace
+from etcontrol.simulate import QUANTILES, SimulationTrace
 
 # Threshold of the first cubic-oscillator sensor at level 2.5, frozen
 # from the design path (matches the design-module regression values).
@@ -155,6 +155,54 @@ class TestArgumentHandling:
         config.write_text("[1, 2]")
         assert run_cli(["design", "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize("key, flag, in_config, on_flag, expected", [
+        ("mode", "--mode", "centralized", "feedback",
+         ("decentralized", "centralized", "feedback")),
+        ("scale", "--scale", "2", "3", (1.0, 2.0, 3.0)),
+        ("quantiles", "--quantiles", [0.5, 0.9], "0.25",
+         (QUANTILES, (0.5, 0.9), (0.25,))),
+    ])
+    def test_flag_over_config_over_default(self, tmp_path, key, flag, in_config,
+                                           on_flag, expected):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: in_config}))
+        with_config = ["--config", str(config)]
+        for extra, value in zip(([], with_config, with_config + [flag, on_flag]),
+                                expected):
+            args = cli.build_parser().parse_args(
+                ["simulate", "--model", "batch_reactor", *extra])
+            cli._settle(args)
+            assert getattr(args, key) == value
+            assert type(getattr(args, key)) is type(value)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--step", "x"), ("--scale", ""), ("--theta", "a")])
+    def test_bad_flag_value_is_named(self, tmp_path, capsys, flag, value):
+        assert run_cli(["simulate", "--model", "batch_reactor", flag, value,
+                        "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag[2:]} must")
+
+    def test_config_level_redesigns_cubic(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "cubic_oscillator", "level": 2.5}))
+        assert run_cli(["design", "--config", str(config)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["c"] == 2.5
+        assert doc["sensors"][0]["w"] == pytest.approx(CUBIC_W1_AT_25, rel=1e-6)
+
+    def test_config_sigma_theta_redesign_lti(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "batch_reactor", "sigma": 0.5,
+                                      "theta": "0.25,0.25,0.25,0.25"}))
+        assert run_cli(["design", "--config", str(config)]) == 0
+        changed = json.loads(capsys.readouterr().out)
+        assert changed["sigma"] == 0.5
+        expected = design_lti(BATCH_A, BATCH_B, BATCH_K, np.eye(4),
+                              [0.25] * 4, 0.5)
+        for entry, w in zip(changed["sensors"], expected.config.thresholds):
+            assert entry["w"] == pytest.approx(w, rel=1e-12)
+
     def test_config_supplies_defaults_flags_override(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
@@ -235,6 +283,30 @@ class TestSimulateCommand:
                         str(config), "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key} must")
+
+    def test_unallocatable_step_is_validation_failure(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--model", "batch_reactor", "--horizon", "1",
+                        "--step", "1e-15", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: horizon 1 at step 1e-15")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_quantiles_refused_before_any_run(self, tmp_path, monkeypatch,
+                                                  capsys, command, source):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run was called")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"quantiles": [0.5, float("nan")]}))
+        extra = (["--quantiles", "1.5"] if source == "flag"
+                 else ["--config", str(config)])
+        assert run_cli([command, "--model", "batch_reactor", *extra,
+                        "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "error: quantiles must lie in [0, 1]\n"
 
     def test_zeno_model_is_numerical_failure(self, tmp_path, capsys):
         model = tmp_path / "zeno.json"

@@ -424,10 +424,6 @@ class TestScenarioLookup:
         for name in SCENARIO_NAMES:
             assert scenario_by_name(name).name == name
 
-    def test_level_passthrough(self):
-        assert scenario_by_name("cubic_oscillator", level=2.5).level == 2.5
-        assert scenario_by_name("cubic_oscillator").level == 10.0
-
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             scenario_by_name("pendulum")

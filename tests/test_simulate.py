@@ -311,6 +311,13 @@ class TestRunValidation:
         with pytest.raises(ValueError, match="one step"):
             run(batch_reactor(), horizon=1e-6)
 
+    def test_unallocatable_trace_is_refused(self):
+        # 1e15 boundaries of four states ask numpy for 28.4 PiB, which the
+        # allocator refuses without touching memory.
+        with pytest.raises(ValueError, match=r"^horizon 1 at step 1e-15 needs "
+                           r"1000000000000001 boundaries"):
+            run(batch_reactor(), horizon=1.0, step=1e-15)
+
     def test_feedback_needs_certificate(self):
         with pytest.raises(DesignError, match="certificate"):
             run(batch_reactor(), mode="feedback")
