@@ -2,19 +2,21 @@
 
 The plant advances with classical fourth-order Runge-Kutta steps while
 each sensor holds its last transmitted value; the control input is
-recomputed from the held samples once per step. Trigger conditions are
-evaluated at every step boundary, including the initial and final
-instants. A firing sensor refreshes its held sample instantaneously, and
-the event carries the boundary timestamp; events are not localized
-inside integration steps (see the trace metadata). The transmissions and
-the per-boundary containment data are numpy record arrays, so a sensor's
-event times are ``trace.events.time[trace.events.sensor == i]``.
+re-evaluated from the held samples when a held sample changes. Trigger
+conditions are evaluated at every step boundary, including the initial
+and final instants. A firing sensor refreshes its held sample
+instantaneously, and the event carries the boundary timestamp; events
+are not localized inside integration steps (see the trace metadata).
+The transmissions and the per-boundary containment data are numpy
+record arrays, so a sensor's event times are
+``trace.events.time[trace.events.sensor == i]``.
 
 Several runs of one scenario at one step can be simulated as one batch of
 members (``run_members``): the plant state is an ``(n, B)`` array of
-columns, each step makes one controller and one Runge-Kutta call for the
-whole batch, and the triggers are evaluated member by member. ``run`` is
-the one-member case, whose state is a plain vector.
+columns, each step makes one Runge-Kutta call for the whole batch, the
+controller is re-evaluated for the whole batch when a held sample changes,
+and the triggers are evaluated member by member. ``run`` is the
+one-member case, whose state is a plain vector.
 
 Four trigger modes are supported:
 
@@ -140,11 +142,20 @@ def rk4_step(f, state, control, step):
     The control is held constant across the four stages, matching
     zero-order-hold actuation.
     """
+    half = 0.5 * step
     k1 = f(state, control)
-    k2 = f(state + 0.5 * step * k1, control)
-    k3 = f(state + 0.5 * step * k2, control)
+    k2 = f(state + half * k1, control)
+    k3 = f(state + half * k2, control)
     k4 = f(state + step * k3, control)
-    return state + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    # state + (step / 6) * (k1 + 2 * (k2 + k3) + k4), accumulated in one
+    # fresh array; IEEE + and * commute, so every bit matches that form.
+    out = k2 + k3
+    out *= 2.0
+    out += k1
+    out += k4
+    out *= step / 6.0
+    out += state
+    return out
 
 
 def transmissions_due(time, state, samples, config, last_transmit, mode="decentralized"):
@@ -382,11 +393,14 @@ def run_members(scenario, members, step=None):
     Each member is a dict of ``run``'s keyword arguments (``design``,
     ``mode``, ``horizon``, ``scale``, ``schedule``), validated as ``run``
     validates them. The plant state of the batch is one ``(n, B)`` array
-    of columns, so each step makes one ``controller`` and one
-    ``rk4_step`` call for all members; the triggers are evaluated per
-    member. Members are ordered longest horizon first, and a member
-    whose horizon ends drops off the end of the column block. With one
-    member the state is a plain vector, which is how ``run`` simulates.
+    of columns, so each step makes one ``rk4_step`` call for all members,
+    and one ``controller`` call re-evaluates the input of all members when
+    a held sample changes: at the start, after a boundary where any member
+    transmitted, and when the column block shrinks. The triggers are
+    evaluated per member. Members are ordered longest horizon first, and
+    a member whose horizon ends drops off the end of the column block.
+    With one member the state is a plain vector, which is how ``run``
+    simulates.
     Linear plants advance a batch with matrix products whose rounding
     can differ in the last bits from the vector products of single runs.
 
@@ -423,9 +437,13 @@ def run_members(scenario, members, step=None):
         # Members whose horizon reaches boundary k are the first ``active``.
         active = len(ordered)
         held_active = held
+        # The input depends only on the held samples, so it is re-evaluated
+        # only after a transmission or when the column block shrinks.
+        control = None
 
         for k in range(n_max + 1):
             t = k * h
+            transmitted = False
             for j in range(active):
                 m = ordered[j]
                 column = x if single else x[:, j]
@@ -437,6 +455,7 @@ def run_members(scenario, members, step=None):
                     m.held[i] = column[i]
                     m.last_transmit[i] = t
                 if fired:
+                    transmitted = True
                     m.consecutive_firing += 1
                     if m.consecutive_firing > _ZENO_LIMIT:
                         raise SimulationError(
@@ -456,7 +475,9 @@ def run_members(scenario, members, step=None):
                     active -= 1
                 x = x[:, :active]
                 held_active = held[:, :active]
-            control = model.controller(held_active)
+                control = None
+            if transmitted or control is None:
+                control = model.controller(held_active)
             x = rk4_step(model.f, x, control, h)
             if not np.isfinite(x).all():
                 raise SimulationError(f"state became non-finite at t={(k + 1) * h:.6g}")
@@ -649,13 +670,31 @@ def write_trace_csv(trace, path):
     # The rate next to an overflowed (inf) certificate value is NaN.
     with np.errstate(invalid="ignore"):
         rate = np.gradient(trace.lyapunov, trace.times)
-    columns = (trace.times, trace.states, trace.samples, trace.lyapunov, rate)
+    lead = (np.asarray(trace.times, dtype=float),
+            *np.asarray(trace.states, dtype=float).T)
+    tail = (np.asarray(trace.lyapunov, dtype=float), rate)
+    # The held samples change only at transmissions, so each distinct row is
+    # formatted once. Rows are compared bitwise, which keeps the text of
+    # 0.0 and -0.0 apart and sees a repeated NaN as unchanged.
+    held = np.asarray(trace.samples, dtype=float)
+    bits = held.view(np.int64)
+    changed = np.zeros(len(held), dtype=bool)
+    changed[0] = True
+    for column in bits.T:
+        changed[1:] |= column[1:] != column[:-1]
+    group = np.cumsum(changed)
+    group -= 1
+    held_text = np.array([",".join(map(repr, row)) for row in held[changed].tolist()],
+                         dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, trace.times.size, _CSV_BLOCK):
-            block = np.column_stack(
-                [c[start:start + _CSV_BLOCK] for c in columns]).tolist()
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in block)
+            part = slice(start, start + _CSV_BLOCK)
+            block = [list(map(repr, c[part].tolist())) for c in lead]
+            block.append(held_text[group[part]].tolist())
+            block += [list(map(repr, c[part].tolist())) for c in tail]
+            fh.write("\n".join(map(",".join, zip(*block))))
+            fh.write("\n")
 
 
 def write_events_json(trace, path):

@@ -108,6 +108,16 @@ def _write_trace_csv_rows(trace, path):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _rk4_textbook(f, state, control, h):
+    """Reference for ``rk4_step``: the classical stages and their weighted sum
+    written as one expression."""
+    k1 = f(state, control)
+    k2 = f(state + 0.5 * h * k1, control)
+    k3 = f(state + 0.5 * h * k2, control)
+    k4 = f(state + h * k3, control)
+    return state + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 def _zeno_scenario():
     # A scalar loop designed with a nearly vanished decay margin gets a
     # tiny threshold, so the sampling error exceeds it at every boundary.
@@ -146,6 +156,44 @@ class TestIntegrator:
         model = batch_reactor().model
         zero = np.zeros(4)
         npt.assert_array_equal(rk4_step(model.f, zero, model.controller(zero), 1e-2), zero)
+
+    @pytest.mark.parametrize("make, shape", [
+        (batch_reactor, (4,)), (batch_reactor, (4, 5)),
+        (cubic_oscillator, (2,)), (cubic_oscillator, (2, 5))])
+    def test_matches_textbook_form_bitwise(self, make, shape):
+        model = make().model
+        rng = np.random.default_rng(len(shape))
+        for h in (1e-4, 1e-2, 0.3):
+            state = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3, shape)
+            control = model.controller(rng.normal(size=shape))
+            assert np.array_equal(rk4_step(model.f, state, control, h),
+                                  _rk4_textbook(model.f, state, control, h))
+
+    def test_writes_neither_state_nor_stage_values(self):
+        # An ``f`` that hands back a cached buffer per distinct input: the
+        # step must leave those buffers and the state as they were.
+        model = batch_reactor().model
+        cache = {}
+
+        def cached_f(x, u):
+            key = x.tobytes()
+            if key not in cache:
+                k = model.f(x, u)
+                k.flags.writeable = False
+                cache[key] = (k, k.copy())
+            return cache[key][0]
+
+        state = np.array([4.0, 7.0, -4.0, 3.0])
+        state.flags.writeable = False
+        control = model.controller(np.array([4.1, 7.2, -4.5, 2.0]))
+        first = rk4_step(cached_f, state, control, 1e-2)
+        again = rk4_step(cached_f, state, control, 1e-2)
+        assert len(cache) == 4
+        assert np.array_equal(first, again)
+        assert np.array_equal(first, _rk4_textbook(model.f, state, control, 1e-2))
+        npt.assert_array_equal(state, [4.0, 7.0, -4.0, 3.0])
+        for k, snapshot in cache.values():
+            assert np.array_equal(k, snapshot)
 
 
 class TestTransmissionsDue:
@@ -526,7 +574,60 @@ def _assert_same_run(batched, alone):
         assert np.abs(a - b).max() <= 1e-12 * scale
 
 
+def _counted_controller(scenario):
+    """A copy of ``scenario`` whose controller records each call's input
+    shape in the returned list."""
+    calls = []
+    controller = scenario.model.controller
+
+    def counted(x_s):
+        calls.append(np.shape(x_s))
+        return controller(x_s)
+
+    model = dataclasses.replace(scenario.model, controller=counted)
+    return dataclasses.replace(scenario, model=model), calls
+
+
+def _transmission_boundaries(trace):
+    """Indices of the boundaries at which any sensor transmitted."""
+    return set(np.rint(trace.events.time / trace.meta["step"]).astype(int).tolist())
+
+
 class TestRunMembers:
+    @pytest.mark.parametrize("make", [batch_reactor, cubic_oscillator])
+    def test_controller_runs_when_a_held_sample_changes(self, make):
+        # Once at the start, then after each boundary with a transmission
+        # that still has a step to take.
+        scenario = make()
+        design = design_scenario(scenario)
+        counted, calls = _counted_controller(scenario)
+        trace = run(counted, design=design, horizon=0.3)
+        plain = run(scenario, design=design, horizon=0.3)
+        last = trace.meta["boundaries"] - 1
+        changes = {0} | {k for k in _transmission_boundaries(trace) if k < last}
+        assert len(calls) == len(changes) < last
+        assert trace.events.tolist() == plain.events.tolist()
+        assert np.array_equal(trace.states, plain.states)
+        assert np.array_equal(trace.samples, plain.samples)
+
+    def test_controller_runs_when_the_batch_shrinks(self):
+        scenario = batch_reactor()
+        design = design_scenario(scenario)
+        members = [dict(design=design, horizon=0.05),
+                   dict(design=design, horizon=0.1, mode="centralized")]
+        counted, calls = _counted_controller(scenario)
+        traces = run_members(counted, members)
+        plain = run_members(scenario, members)
+        shrink, last = (t.meta["boundaries"] - 1 for t in traces)
+        changes = {0, shrink} | {k for t in traces for k in _transmission_boundaries(t)
+                                 if k < last}
+        assert len(calls) == len(changes)
+        assert calls == [(4, 2) if k < shrink else (4, 1) for k in sorted(changes)]
+        for trace, alone in zip(traces, plain):
+            assert trace.events.tolist() == alone.events.tolist()
+            assert np.array_equal(trace.states, alone.states)
+            assert np.array_equal(trace.samples, alone.samples)
+
     @pytest.mark.parametrize("make", [batch_reactor, cubic_oscillator])
     def test_verify_members_match_separate_runs(self, make):
         scenario = make()
@@ -847,6 +948,47 @@ class TestWriters:
                                 samples=samples, lyapunov=lyapunov)
         assert _csv_outcome(write_trace_csv, trace, tmp_path / "a.csv") == \
             _csv_outcome(_write_trace_csv_rows, trace, tmp_path / "b.csv")
+
+    @pytest.mark.parametrize("held", ["runs_across_block_edges", "signed_zero_flip",
+                                      "non_finite", "non_contiguous"])
+    def test_csv_held_samples_match_row_oracle(self, held, tmp_path):
+        # Held samples are piecewise constant, so the writer formats each
+        # run of equal rows once; these runs end at and next to the block
+        # edges, flip a zero's sign, hold NaN and inf, or sit in a strided
+        # array.
+        boundaries = 2100
+        rng = np.random.default_rng(7)
+        states = rng.normal(size=(boundaries, 3))
+        ends = [1, 1022, 1023, 1024, 1025, 1030, 2047, 2048, 2049, boundaries]
+        values = rng.normal(size=(len(ends), 3)) * 10.0 ** rng.integers(-5, 5, (len(ends), 3))
+        run_of_row = np.searchsorted(ends, np.arange(boundaries), side="right")
+        samples = values[run_of_row]
+        if held == "runs_across_block_edges":
+            samples[1024:1030, 1] = values[3, 1]  # one component changes alone
+        elif held == "signed_zero_flip":
+            samples[:, 2] = 0.0
+            samples[5:1024, 2] = -0.0
+            samples[1025, 2] = -0.0
+            samples[2048:, 2] = -0.0
+        elif held == "non_finite":
+            negative_nan = -np.float64(np.nan)
+            samples[3:1023, 0] = np.nan
+            samples[1023:1025, 0] = negative_nan
+            samples[1024:2048, 1] = np.inf
+            samples[2048:, 2] = -np.inf
+        else:
+            wide = np.empty((boundaries, 6))
+            wide[:, ::2] = samples
+            wide[:, 1::2] = -1.0
+            samples = wide[:, ::2]
+            states = np.asfortranarray(states)
+            assert not samples.flags.c_contiguous and not states.flags.c_contiguous
+        lyapunov = np.abs(rng.normal(size=boundaries))
+        trace = SimulationTrace(times=np.arange(boundaries) * 1e-4, states=states,
+                                samples=samples, lyapunov=lyapunov)
+        written = _csv_outcome(write_trace_csv, trace, tmp_path / "a.csv")
+        assert isinstance(written, bytes)
+        assert written == _csv_outcome(_write_trace_csv_rows, trace, tmp_path / "b.csv")
 
     def test_feedback_csv_matches_row_oracle(self, fb, tmp_path):
         _, trace = fb
