@@ -7,8 +7,8 @@ a quadratic stability certificate, simulates the resulting closed loop,
 and verifies the guarantees the design makes.
 
 Entry points: :func:`design_nonlinear` produces trigger parameters from
-a certificate and :func:`design_lti` from the plant matrices, both
-through :func:`dwell_times`; :func:`run` simulates a scenario, and the
+a certificate at a level, and :func:`design_lti` is its case at level
+``inf`` for plant matrices; :func:`run` simulates a scenario, and the
 bundled benchmarks live in :mod:`etcontrol.models`. The ``etcontrol``
 command exposes the same paths from the shell.
 

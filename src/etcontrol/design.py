@@ -8,19 +8,19 @@ capped by admissible bounds from the certificate; dwell times are
 first-crossing times of the scalar comparison ODE assembled from
 Lipschitz-type growth constants.
 
-Both design paths end in ``dwell_times``, which takes the growth
-constants as plain numbers. The certificate path evaluates a certificate's
-threshold caps and a model's Lipschitz data at one level c. The LTI path
-is its special case with bounds that hold globally: it solves a Lyapunov
-equation for the certificate matrix, splits the decay margin into
-thresholds, and takes the growth constants from row and matrix norms of
-the closed loop. Model-specific bounds live with their models.
+There is one design path: ``design_nonlinear`` evaluates a certificate's
+threshold caps and a model's Lipschitz data at one level c and passes
+plain numbers to ``dwell_times``. ``design_lti`` is its case at level
+``inf``: it solves a Lyapunov equation for a certificate whose caps and
+growth constants hold on the whole state space. Every design carries its
+certificate and level. Model-specific bounds live with their models.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "design_nonlinear",
     "design_lti",
     "lti_matrices",
-    "lti_threshold_caps",
 ]
 
 
@@ -145,14 +144,20 @@ class TriggerConfig:
 
 @dataclass(frozen=True)
 class DesignResult:
-    """A complete trigger design plus the certificate facts it rests on."""
+    """A trigger design plus the certificate and level c it holds at; an
+    LTI design's level is ``inf``, which ``to_dict`` writes as ``None``."""
 
     config: TriggerConfig
-    P: np.ndarray
+    certificate: LyapunovCertificate
     q_min: float
     sigma: float
     theta: np.ndarray
-    level: Optional[float] = None
+    level: float
+
+    @property
+    def P(self):
+        """The certificate matrix."""
+        return self.certificate.quadratic
 
     def to_dict(self):
         """JSON-ready document with per-sensor parameters and certificate data."""
@@ -165,7 +170,7 @@ class DesignResult:
             "Q_m": float(self.q_min),
             "sigma": float(self.sigma),
             "theta": [float(t) for t in np.asarray(self.theta).ravel()],
-            "c": None if self.level is None else float(self.level),
+            "c": float(self.level) if math.isfinite(self.level) else None,
         }
 
 
@@ -248,24 +253,16 @@ def design_nonlinear(cert, lipschitz, level):
 
     Uses ``w_i = threshold_bounds(level)[i]`` (the largest admissible
     choice) and assembles dwell times from ``lipschitz(level)``, the
-    model's ``LipschitzData`` on the sublevel set of ``level``.
+    model's ``LipschitzData`` on the sublevel set of ``level``. An
+    infinite cap designs its sensor out (``w_i = T_i = inf``); a NaN or
+    non-positive cap is refused by ``dwell_times``.
     """
     level = float(level)
     if not level > 0.0:
         raise DesignError(f"design level must be positive, got {level}")
     w = np.asarray(cert.threshold_bounds(level), dtype=float)
-    if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
-        raise DesignError("certificate produced non-positive threshold bounds")
     T = dwell_times(w, lipschitz(level))
     return TriggerConfig(thresholds=w, dwells=T)
-
-
-def lti_threshold_caps(P, B, K, q_min, sigma, theta):
-    """Admissible thresholds ``sigma * theta_i * Q_min / |column_i(2 P B K)|``
-    of an LTI design; ``inf`` where the column is exactly zero."""
-    column_norms = np.linalg.norm(2.0 * P @ B @ K, axis=0)
-    with np.errstate(divide="ignore"):
-        return np.where(column_norms > 0.0, sigma * theta * q_min / column_norms, np.inf)
 
 
 def lti_matrices(A, B, K):
@@ -284,13 +281,14 @@ def design_lti(A, B, K, Q, theta, sigma):
     """Trigger design for the LTI closed loop ``x' = (A + BK) x`` under
     zero-order-hold control ``u = K x_s``.
 
-    Solves ``P (A+BK) + (A+BK)^T P = -Q`` and splits the decay margin
-    ``sigma`` across sensors by the weights ``theta``:
+    Solves ``P (A+BK) + (A+BK)^T P = -Q``. The certificate ``x^T P x``
+    holds on the whole state space, so this is ``design_nonlinear`` at
+    level ``inf``, with caps that split the decay margin ``sigma`` by the
+    weights ``theta``,
 
         w_i = sigma * theta_i * Q_min / |column_i(2 P B K)|
 
-    Dwell times come from ``dwell_times`` with level-independent growth
-    constants: the row norms of A+BK and BK and the matrix norms of both.
+    and growth constants from the row and matrix norms of A+BK and BK.
 
     A sensor whose column of ``2 P B K`` is exactly zero cannot affect the
     decay bound; it receives ``w_i = T_i = inf``, never transmits, and is
@@ -299,7 +297,7 @@ def design_lti(A, B, K, Q, theta, sigma):
     Returns
     -------
     DesignResult
-        Trigger configuration plus the certificate data (P, Q_min).
+        Trigger configuration plus the certificate, Q_min and level ``inf``.
     """
     A, B, K = lti_matrices(A, B, K)
     n = A.shape[0]
@@ -314,10 +312,14 @@ def design_lti(A, B, K, Q, theta, sigma):
     q_min = float(sym_eig(Q)[0])
     if q_min <= 0.0:
         raise DesignError("Q must be positive definite")
-    w = lti_threshold_caps(P, B, K, q_min, sigma, theta)
+    column_norms = np.linalg.norm(2.0 * P @ B @ K, axis=0)
+    with np.errstate(divide="ignore"):
+        caps = np.where(column_norms > 0.0, sigma * theta * q_min / column_norms, np.inf)
+    # A copy per call: no thresholds share memory with the caps run checks.
+    cert = LyapunovCertificate(P, lambda level: caps.copy())
     BK = B @ K
     lip = LipschitzData(spectral_norm(A_cl), spectral_norm(BK),
                         np.linalg.norm(A_cl, axis=1), np.linalg.norm(BK, axis=1))
-    config = TriggerConfig(thresholds=w, dwells=dwell_times(w, lip))
-    return DesignResult(config=config, P=P, q_min=q_min, sigma=sigma, theta=theta)
-
+    config = design_nonlinear(cert, lambda level: lip, math.inf)
+    return DesignResult(config=config, certificate=cert, q_min=q_min, sigma=sigma,
+                        theta=theta, level=math.inf)

@@ -328,13 +328,9 @@ def design_scenario(scenario):
             scenario.Q, scenario.theta, scenario.sigma)
     config = design_nonlinear(scenario.certificate, scenario.lipschitz, scenario.level)
     return DesignResult(
-        config=config,
-        P=scenario.certificate.quadratic,
-        q_min=float(sym_eig(scenario.Q)[0]),
-        sigma=scenario.sigma,
-        theta=scenario.theta,
-        level=scenario.level,
-    )
+        config=config, certificate=scenario.certificate,
+        q_min=float(sym_eig(scenario.Q)[0]), sigma=scenario.sigma,
+        theta=scenario.theta, level=scenario.level)
 
 
 SCENARIO_NAMES = ("batch_reactor", "cubic_oscillator")

@@ -42,7 +42,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import lti_threshold_caps
 from .errors import DesignError, SimulationError
 from .feedback import (
     DEFAULT_SCHEDULE,
@@ -233,27 +232,26 @@ class _Member:
         if n_steps < 1:
             raise ValueError("horizon must cover at least one step")
 
-        cert = scenario.certificate
+        cert = design.certificate
         level = design.level
         if mode == "feedback":
-            if cert is None:
+            if scenario.lipschitz is None:
                 raise DesignError("feedback mode needs a certificate and Lipschitz data")
             if schedule is None:
                 schedule = DEFAULT_SCHEDULE
+        if level is None:
+            raise DesignError("a run needs a design made at a level")
 
         x = scale * scenario.x0
-        if cert is None:
-            caps = lti_threshold_caps(design.P, model.B, model.K, design.q_min,
-                                      design.sigma, design.theta)
-        elif level is None:
-            raise DesignError("a certificate scenario needs a design made at a level")
-        else:
+        # A design at level inf holds on the whole state space and covers
+        # every start; an infinite one fails the check after the first step.
+        if level < math.inf:
             initial_value = float(cert.value(x))
             if not initial_value <= level * (1.0 + 1e-12):
                 raise DesignError(
                     f"initial certificate value {initial_value:.6g} exceeds the design "
                     f"level {level:.6g}; the guarantees do not cover this start")
-            caps = np.asarray(cert.threshold_bounds(level), dtype=float)
+        caps = np.asarray(cert.threshold_bounds(level), dtype=float)
         finite = np.isfinite(config.thresholds)
         if not np.all(config.thresholds[finite] <= caps[finite] * (1.0 + 1e-9)):
             raise DesignError("trigger thresholds exceed their admissible bounds")
@@ -268,7 +266,7 @@ class _Member:
         self.held = scale * scenario.xs0
         self.config = config
         self.level = level
-        self.P = design.P if cert is None else cert.quadratic
+        self.P = cert.quadratic
         self.bound = QuadraticBound(self.P) if mode == "feedback" else None
         self.last_transmit = -config.dwells
         try:
@@ -298,7 +296,7 @@ class _Member:
         value = self.bound(center, radius)
         if value > 0.0 and update_due(self.schedule, t, self.last_update, value,
                                       self.level):
-            update = apply_update(scenario.certificate, scenario.lipschitz, value, t,
+            update = apply_update(self.design.certificate, scenario.lipschitz, value, t,
                                   self.level)
             self.updates.append(update)
             self.config = update.config
@@ -321,8 +319,8 @@ class _Member:
             "thresholds": [float(v) for v in config.thresholds],
             "dwells": [float(v) for v in config.dwells],
             "threshold_norm": config.threshold_norm,
-            "level": None if self.design.level is None else float(self.design.level),
-            "final_level": None if self.level is None else float(self.level),
+            "level": float(self.design.level),
+            "final_level": float(self.level),
             "event_timing": "triggers are evaluated at step boundaries and events "
                             "carry the boundary timestamp",
         }
@@ -374,10 +372,10 @@ def run(scenario, design=None, mode="decentralized", step=None, horizon=None,
     Raises
     ------
     DesignError
-        When the inputs are inconsistent with the design region, or the
-        design's thresholds exceed their admissible caps (from the
-        certificate at the design level, or from the design's own P,
-        Q_min, sigma and theta for a linear plant).
+        When the design has no level, the start's certificate value
+        exceeds the design level (never for an LTI design, whose level is
+        ``inf``), or the design's thresholds exceed the caps of its
+        certificate at its level.
     SimulationError
         When the state leaves the representable range or the trigger
         fires at every boundary for an extended stretch.

@@ -339,6 +339,25 @@ class TestSimulateCommand:
         column = rows[0].index("V")
         assert {row[column] for row in rows[1:]} == {"inf"}
 
+    def test_infinite_start_exit_codes(self, tmp_path, capsys):
+        # An LTI design covers every start, so an infinite one fails in the
+        # first step (exit 2); the cubic oscillator's finite level refuses
+        # it before the run (exit 1).
+        assert run_cli(["simulate", "--model", "batch_reactor", "--scale", "1e308",
+                        "--horizon", "0.01", "--out", str(tmp_path / "a")]) == 2
+        assert "non-finite at t=" in capsys.readouterr().err
+        assert run_cli(["simulate", "--model", "cubic_oscillator", "--scale", "1e308",
+                        "--horizon", "0.01", "--out", str(tmp_path / "b")]) == 1
+        assert "exceeds the design level" in capsys.readouterr().err
+
+    def test_linear_plant_level_is_null(self, tmp_path):
+        # An LTI design's level is inf, which strict JSON writes as null.
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--model", "batch_reactor", "--horizon", "0.01",
+                        "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["level"] is None and summary["final_level"] is None
+
     def test_unwritable_out_is_io_failure(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")

@@ -5,6 +5,7 @@ Lyapunov solve, hand-assembled comparison-ODE coefficients, closed-form
 integrals) before this module was written.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,13 +15,16 @@ import pytest
 from etcontrol.design import (
     DesignResult,
     LipschitzData,
+    LyapunovCertificate,
     TriggerConfig,
     design_lti,
+    design_nonlinear,
     dwell_times,
     validate_weights,
 )
 from etcontrol.errors import DesignError
 from etcontrol.models import cubic_oscillator, peak_cubic_gain
+from etcontrol.simulate import run
 from etcontrol.riccati import RiccatiCoefficients, crossing_time, crossing_time_numeric
 
 A = np.array([
@@ -50,7 +54,6 @@ REACTOR_P = np.array([
 REACTOR_T_PUBLISHED = np.array([0.011, 0.0154, 0.0126, 0.0199])
 
 # Frozen prototype outputs for the cubic-oscillator design at level 10.
-CUBIC_P = np.array([[1.15, 0.1], [0.1, 0.15]])
 CUBIC_W10 = np.array([0.00445167, 0.08320503])
 CUBIC_W25 = np.array([0.01729268, 0.08320503])
 CUBIC_POLY10 = 504.65007135476606
@@ -151,6 +154,34 @@ class TestDesignLti:
         assert math.isinf(T[0])
         assert np.all(np.isfinite(T[1:])) and np.all(T[1:] > 0.0)
 
+    @pytest.mark.parametrize("level", [1.0, 1e6, math.inf])
+    def test_certificate_caps_match_closed_form_at_every_level(self, level):
+        # The caps sigma theta_i Q_min / |column_i(2 P B K)| do not depend
+        # on the level; the stiff plant's sensor 0 has a zero column.
+        A10 = np.diag(-np.logspace(0, 4, 10))
+        K10 = 0.1 * np.eye(10, k=1)
+        theta10 = np.full(10, 0.1)
+        for Ai, Bi, Ki, thetai in ((A, B, K, THETA), (A10, np.eye(10), K10, theta10)):
+            result = design_lti(Ai, Bi, Ki, np.eye(len(Ai)), thetai, SIGMA)
+            column_norms = np.linalg.norm(2.0 * result.P @ Bi @ Ki, axis=0)
+            with np.errstate(divide="ignore"):
+                expected = np.where(column_norms > 0.0,
+                                    SIGMA * thetai * result.q_min / column_norms, np.inf)
+            caps = result.certificate.threshold_bounds(level)
+            assert np.array_equal(caps, expected)
+            assert np.array_equal(result.config.thresholds, expected)
+            assert result.level == math.inf
+        assert math.isinf(caps[0])
+
+    def test_certificate_caps_do_not_alias_thresholds(self):
+        result = design_lti(A, B, K, np.eye(4), THETA, SIGMA)
+        kept = result.config.thresholds.copy()
+        caps = result.certificate.threshold_bounds(math.inf)
+        assert not np.shares_memory(caps, result.config.thresholds)
+        caps[:] = 1e9
+        assert np.array_equal(result.config.thresholds, kept)
+        assert np.array_equal(result.certificate.threshold_bounds(1.0), kept)
+
     def test_rejects_bad_sigma(self):
         with pytest.raises(DesignError, match="sigma"):
             design_lti(A, B, K, np.eye(4), THETA, 1.0)
@@ -193,6 +224,34 @@ class TestDesignLti:
         assert doc["c"] is None
         assert doc["W"] == pytest.approx(result.config.threshold_norm)
         npt.assert_allclose(doc["P"], result.P)
+
+
+def _cubic_with_bounds(second_cap):
+    """The cubic oscillator with its second threshold cap replaced."""
+    scenario = cubic_oscillator()
+    cert = scenario.certificate
+    forged = LyapunovCertificate(
+        cert.quadratic,
+        lambda level: np.array([cert.threshold_bounds(level)[0], second_cap]))
+    return dataclasses.replace(scenario, certificate=forged)
+
+
+class TestDesignNonlinear:
+    def test_infinite_cap_designs_sensor_out(self):
+        scenario = _cubic_with_bounds(math.inf)
+        config = design_nonlinear(scenario.certificate, scenario.lipschitz, 10.0)
+        assert math.isinf(config.thresholds[1]) and math.isinf(config.dwells[1])
+        assert np.isfinite(config.thresholds[0]) and np.isfinite(config.dwells[0])
+        trace = run(scenario, horizon=0.5)
+        assert trace.meta["thresholds"][1] == math.inf
+        assert not np.any(trace.events.sensor == 1)
+        assert np.any(trace.events.sensor == 0)
+
+    @pytest.mark.parametrize("cap", [math.nan, 0.0, -0.1])
+    def test_rejects_nan_or_nonpositive_cap(self, cap):
+        scenario = _cubic_with_bounds(cap)
+        with pytest.raises(DesignError, match="thresholds must be positive"):
+            design_nonlinear(scenario.certificate, scenario.lipschitz, 10.0)
 
 
 class TestDwellTimes:
@@ -297,7 +356,7 @@ class TestDesignResultSerialization:
     def test_nonlinear_document_carries_level(self):
         config = TriggerConfig(thresholds=np.array([0.1, 0.2]), dwells=np.array([0.5, 0.6]))
         doc = DesignResult(
-            config=config, P=CUBIC_P, q_min=1.0, sigma=0.9,
+            config=config, certificate=cubic_oscillator().certificate, q_min=1.0, sigma=0.9,
             theta=np.array([0.9, 0.1]), level=10.0,
         ).to_dict()
         assert doc["c"] == 10.0

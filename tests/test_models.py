@@ -105,7 +105,7 @@ class TestBatchReactor:
     def test_design_matches_lti_path(self):
         scenario = batch_reactor()
         result = design_scenario(scenario)
-        assert result.level is None
+        assert result.level == math.inf
         assert result.config.thresholds.size == 4
         assert result.sigma == 0.95
 

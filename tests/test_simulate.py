@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import expm
 
 from etcontrol import models
-from etcontrol.design import DesignResult, LyapunovCertificate, TriggerConfig
+from etcontrol.design import LyapunovCertificate, TriggerConfig
 from etcontrol.errors import DesignError, SimulationError
 from etcontrol.feedback import QuadraticBound, UpdateSchedule, containment_sphere
 from etcontrol.models import (
@@ -380,6 +380,12 @@ class TestRunValidation:
         with pytest.raises(DesignError, match="exceeds the design"):
             run(cubic_oscillator(), horizon=0.01, scale=1e200)
 
+    def test_infinite_start_outside_level_set(self):
+        # At scale 1e308 x0 itself overflows and x^T P x is NaN, which no
+        # finite design level covers.
+        with pytest.raises(DesignError, match="exceeds the design level"):
+            run(cubic_oscillator(), horizon=0.01, scale=1e308)
+
     def test_overflowing_certificate_value_is_inf(self):
         # x^T P x is about 1.1e401. Products of P's mixed-sign entries
         # overflow and could cancel to -inf, letting this start pass.
@@ -396,11 +402,8 @@ class TestRunValidation:
     def test_thresholds_above_caps_rejected(self):
         scenario = cubic_oscillator()
         base = design_scenario(scenario)
-        forged = DesignResult(
-            config=TriggerConfig(
-                thresholds=2.0 * base.config.thresholds, dwells=base.config.dwells),
-            P=base.P, q_min=base.q_min, sigma=base.sigma,
-            theta=base.theta, level=base.level)
+        forged = dataclasses.replace(base, config=TriggerConfig(
+            thresholds=2.0 * base.config.thresholds, dwells=base.config.dwells))
         with pytest.raises(DesignError, match="admissible"):
             run(scenario, design=forged, horizon=0.1)
 
@@ -535,11 +538,8 @@ class TestRunBatch:
         # Fault injection: a config with halved dwell times must produce a
         # gap below the designed floor, proving the check has teeth.
         scenario, design, _ = batch_short
-        faulty = DesignResult(
-            config=TriggerConfig(
-                thresholds=design.config.thresholds,
-                dwells=0.5 * design.config.dwells),
-            P=design.P, q_min=design.q_min, sigma=design.sigma, theta=design.theta)
+        faulty = dataclasses.replace(design, config=TriggerConfig(
+            thresholds=design.config.thresholds, dwells=0.5 * design.config.dwells))
         trace = run(scenario, design=faulty, horizon=1.0)
         violated = False
         for i in range(4):
