@@ -63,7 +63,8 @@ class LyapunovCertificate:
     ValueError
         If ``quadratic`` is not a finite symmetric matrix.
     DesignError
-        If ``quadratic`` is not positive definite.
+        If ``quadratic`` is not positive definite (a design's one
+        definiteness check: ``linalg.solve_lyapunov`` makes none).
     """
 
     quadratic: np.ndarray
@@ -128,9 +129,9 @@ class TriggerConfig:
         T = np.asarray(self.dwells, dtype=float)
         if w.ndim != 1 or w.shape != T.shape or w.size == 0:
             raise ValueError("thresholds and dwells must be matching 1-D arrays")
-        if np.any(np.isnan(w)) or np.any(w <= 0.0):
+        if not (w > 0.0).all():  # NaN fails every comparison
             raise ValueError("thresholds must be positive (inf marks excluded sensors)")
-        if np.any(np.isnan(T)) or np.any(T <= 0.0):
+        if not (T > 0.0).all():
             raise ValueError("dwell times must be positive")
         object.__setattr__(self, "thresholds", w)
         object.__setattr__(self, "dwells", T)
@@ -161,15 +162,14 @@ class DesignResult:
 
     def to_dict(self):
         """JSON-ready document with per-sensor parameters and certificate data."""
-        w = self.config.thresholds
-        T = self.config.dwells
+        pairs = zip(self.config.thresholds.tolist(), self.config.dwells.tolist())
         return {
-            "sensors": [{"w": float(w[i]), "T": float(T[i])} for i in range(w.size)],
+            "sensors": [{"w": w, "T": T} for w, T in pairs],
             "W": self.config.threshold_norm,
-            "P": [list(map(float, row)) for row in self.P],
+            "P": self.P.tolist(),
             "Q_m": float(self.q_min),
             "sigma": float(self.sigma),
-            "theta": [float(t) for t in np.asarray(self.theta).ravel()],
+            "theta": np.asarray(self.theta, dtype=float).ravel().tolist(),
             "c": float(self.level) if math.isfinite(self.level) else None,
         }
 
@@ -186,10 +186,10 @@ def validate_weights(theta):
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.size == 0:
         raise DesignError("theta must be a non-empty 1-D array of weights")
-    if np.any(~np.isfinite(theta)) or np.any(theta <= 0.0) or np.any(theta >= 1.0):
+    if not ((theta > 0.0) & (theta < 1.0)).all():  # NaN and inf fail too
         raise DesignError("each theta weight must lie strictly inside (0, 1)")
-    if float(np.sum(theta)) > 1.0 + 1e-12:
-        raise DesignError(f"sum of theta weights is {np.sum(theta):.6g}, must be <= 1")
+    if float(theta.sum()) > 1.0 + 1e-12:
+        raise DesignError(f"sum of theta weights is {theta.sum():.6g}, must be <= 1")
     return theta
 
 
@@ -224,7 +224,7 @@ def dwell_times(thresholds, lip):
     w = np.asarray(thresholds, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise DesignError("thresholds must be a non-empty 1-D array")
-    if np.any(np.isnan(w)) or np.any(w <= 0.0):
+    if not (w > 0.0).all():
         raise DesignError("thresholds must be positive (inf marks excluded sensors)")
     L = float(lip.state_gain)
     D = float(lip.error_gain)
@@ -232,20 +232,17 @@ def dwell_times(thresholds, lip):
     Di = np.asarray(lip.error_gains, dtype=float)
     if Li.shape != w.shape or Di.shape != w.shape:
         raise DesignError("per-sensor Lipschitz arrays must match thresholds in shape")
-    if L < 0.0 or D < 0.0 or np.any(Li < 0.0) or np.any(Di < 0.0):
+    if L < 0.0 or D < 0.0 or (Li < 0.0).any() or (Di < 0.0).any():
         raise DesignError("Lipschitz constants must be non-negative")
-    finite = np.isfinite(w)
-    finite_sq = np.where(finite, w**2, 0.0)
+    finite_sq = np.where(np.isfinite(w), w**2, 0.0)
     others = np.sqrt(np.maximum(np.sum(finite_sq) - finite_sq, 0.0))
-    T = np.full_like(w, np.inf)
-    for i in np.flatnonzero(finite):
-        coeffs = RiccatiCoefficients(
-            Li[i] + Di[i] * others[i],
-            L + Di[i] + D * others[i],
-            D,
-        )
-        T[i] = crossing_time(w[i], coeffs)
-    return T
+    # Python floats: numpy scalars cost more per operation, same IEEE bits.
+    T = [
+        crossing_time(wi, RiccatiCoefficients(Lii + Dii * oi, L + Dii + D * oi, D))
+        if math.isfinite(wi) else math.inf
+        for wi, Lii, Dii, oi in zip(w.tolist(), Li.tolist(), Di.tolist(), others.tolist())
+    ]
+    return np.array(T)
 
 
 def design_nonlinear(cert, lipschitz, level):

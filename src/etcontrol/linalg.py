@@ -4,7 +4,7 @@ Matrices are plain ``numpy.ndarray`` objects. All norms are Euclidean for
 vectors and induced-2 for matrices. Eigenvalues, Hurwitz tests and norms
 come from numpy's LAPACK routines. The Lyapunov equation is solved
 densely through its Kronecker vectorization, and every solution is
-checked for its residual and definiteness before it is returned.
+checked for its residual; a design's certificate checks definiteness.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def _as_square(M, name):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} has non-finite entries")
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
@@ -74,23 +74,26 @@ def sym_eig(M, vectors=False):
 def spectral_norm(M):
     """Induced 2-norm of a matrix, or Euclidean norm of a vector."""
     M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError("spectral_norm input has non-finite entries")
-    return float(np.linalg.norm(M, 2))
+    if M.ndim != 2:
+        return float(np.linalg.norm(M, 2))
+    # np.linalg.norm(M, 2) reduces the same singular values the same way.
+    return float(np.linalg.svd(M, compute_uv=False).max(initial=0.0))
 
 
 def is_hurwitz(M):
     """Whether every eigenvalue of ``M`` has a strictly negative real part."""
     M = _as_square(M, "is_hurwitz input")
-    return bool(np.all(np.linalg.eigvals(M).real < 0.0))
+    return bool((np.linalg.eigvals(M).real < 0.0).all())
 
 
 def solve_lyapunov(A_cl, Q):
-    """Solve ``P A_cl + A_cl^T P = -Q`` for symmetric positive definite P.
+    """Solve ``P A_cl + A_cl^T P = -Q`` for symmetric P.
 
     The equation is vectorized into an n^2 x n^2 dense linear system and
     solved by partial-pivot elimination. The residual is verified against
-    ``1e-10 * ||Q||`` before the result is returned.
+    ``1e-10 * ||Q||``; a design's ``LyapunovCertificate`` checks definiteness.
 
     Parameters
     ----------
@@ -102,13 +105,13 @@ def solve_lyapunov(A_cl, Q):
     Returns
     -------
     ndarray
-        Symmetric positive definite solution P.
+        Exactly symmetric solution P; positive definite whenever Q is.
 
     Raises
     ------
     DesignError
-        If ``A_cl`` is not Hurwitz or the computed solution fails the
-        residual or definiteness checks.
+        If ``A_cl`` is not Hurwitz, the linear system does not fit in
+        memory, or the computed solution fails the residual check.
     """
     A = _as_square(A_cl, "A_cl")
     Qs = _require_symmetric(Q, "Q")
@@ -117,16 +120,20 @@ def solve_lyapunov(A_cl, Q):
     if not is_hurwitz(A):
         raise DesignError("closed-loop matrix is not Hurwitz; Lyapunov design fails")
     n = A.shape[0]
-    I = np.eye(n)
-    # Column-stacking vectorization: vec(P A) = (A^T (x) I) vec(P),
-    # vec(A^T P) = (I (x) A^T) vec(P).
-    coeff = np.kron(A.T, I) + np.kron(I, A.T)
-    vec_p = np.linalg.solve(coeff, -Qs.flatten(order="F"))
+    try:
+        I = np.eye(n)
+        # Column-stacking vectorization: vec(P A) = (A^T (x) I) vec(P),
+        # vec(A^T P) = (I (x) A^T) vec(P). Entry [i, j, k, l] of a broadcast
+        # product is the same product as Kronecker entry [i n + j, k n + l].
+        coeff = A.T[:, None, :, None] * I[None, :, None, :]
+        coeff += I[:, None, :, None] * A.T[None, :, None, :]
+        vec_p = np.linalg.solve(coeff.reshape(n * n, n * n), -Qs.flatten(order="F"))
+    except MemoryError:
+        raise DesignError(f"the Lyapunov system of a {n}-state plant has {n * n} "
+                          "unknowns, more than memory holds") from None
     P = vec_p.reshape((n, n), order="F")
     P = 0.5 * (P + P.T)
     residual = np.linalg.norm(P @ A + A.T @ P + Qs)
-    if residual > 1e-10 * np.linalg.norm(Qs):
+    if not residual <= 1e-10 * np.linalg.norm(Qs):  # a NaN residual fails too
         raise DesignError(f"Lyapunov residual {residual:.3e} exceeds tolerance")
-    if sym_eig(P)[0] <= 0.0:
-        raise DesignError("Lyapunov solution is not positive definite")
     return P

@@ -172,7 +172,17 @@ def transmissions_due(time, state, samples, config, last_transmit, mode="decentr
     -------
     list of int
         Indices of firing sensors, ascending.
+
+    Raises
+    ------
+    SimulationError
+        When a state component is not finite, naming ``time``; every
+        component is read, those of sensors designed out too.
     """
+    xs = state.tolist()
+    # A sum is finite unless a term is not finite or the sum overflows.
+    if not math.isfinite(sum(xs)) and not all(map(math.isfinite, xs)):
+        raise SimulationError(f"state became non-finite at t={time:.6g}")
     centralized = mode.startswith("centralized")
     reference = 0.0
     if centralized:
@@ -186,7 +196,7 @@ def transmissions_due(time, state, samples, config, last_transmit, mode="decentr
     # Python floats: indexing numpy scalars costs more than the arithmetic.
     # An infinite dwell gives a NaN baseline (-inf + inf), which the negated
     # comparison treats as blocking, so such a sensor never transmits.
-    rows = zip(config.thresholds.tolist(), config.dwells.tolist(), state.tolist(),
+    rows = zip(config.thresholds.tolist(), config.dwells.tolist(), xs,
                samples.tolist(), last_transmit.tolist())
     for i, (wi, Ti, xi, si, last) in enumerate(rows):
         if not math.isfinite(wi):
@@ -415,7 +425,7 @@ def run_members(scenario, members, step=None):
     if len(members) > 1 and any(m.get("mode") == "feedback" for m in members):
         raise ValueError("feedback mode runs only as a single member")
     # A scaled start, a diverging state or a certificate value can overflow;
-    # the start's certificate check, the finiteness check after each step
+    # the start's certificate check, the trigger pass's finiteness check
     # and the trace's quadratic values turn that into typed errors or inf.
     with np.errstate(over="ignore", invalid="ignore"):
         runs = [_Member(scenario, step, **m) for m in members]
@@ -477,8 +487,6 @@ def run_members(scenario, members, step=None):
             if transmitted or control is None:
                 control = model.controller(held_active)
             x = rk4_step(model.f, x, control, h)
-            if not np.isfinite(x).all():
-                raise SimulationError(f"state became non-finite at t={(k + 1) * h:.6g}")
 
         return [m.trace(scenario) for m in runs]
 

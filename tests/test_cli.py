@@ -340,9 +340,9 @@ class TestSimulateCommand:
         assert {row[column] for row in rows[1:]} == {"inf"}
 
     def test_infinite_start_exit_codes(self, tmp_path, capsys):
-        # An LTI design covers every start, so an infinite one fails in the
-        # first step (exit 2); the cubic oscillator's finite level refuses
-        # it before the run (exit 1).
+        # An LTI design covers every start, so an infinite one fails at the
+        # first boundary (exit 2); the cubic oscillator's finite level
+        # refuses it before the run (exit 1).
         assert run_cli(["simulate", "--model", "batch_reactor", "--scale", "1e308",
                         "--horizon", "0.01", "--out", str(tmp_path / "a")]) == 2
         assert "non-finite at t=" in capsys.readouterr().err

@@ -12,6 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from etcontrol import design as design_module
 from etcontrol.design import (
     DesignResult,
     LipschitzData,
@@ -189,6 +190,14 @@ class TestDesignLti:
     def test_rejects_indefinite_q(self):
         with pytest.raises(DesignError, match="positive definite"):
             design_lti(A, B, K, np.diag([1.0, 1.0, 1.0, -1.0]), THETA, SIGMA)
+
+    def test_refuses_indefinite_lyapunov_solution(self, monkeypatch):
+        # solve_lyapunov leaves definiteness to the certificate, the one
+        # definiteness check of a design.
+        monkeypatch.setattr(design_module, "solve_lyapunov",
+                            lambda A_cl, Q: np.diag([1.0, 1.0, 1.0, -1.0]))
+        with pytest.raises(DesignError, match="positive definite"):
+            design_lti(A, B, K, np.eye(4), THETA, SIGMA)
 
     def test_rejects_wrong_theta_length(self):
         with pytest.raises(DesignError, match="one weight per sensor"):

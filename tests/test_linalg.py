@@ -120,6 +120,17 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             spectral_norm(np.zeros((2, 2, 2)))
 
+    def test_bits_match_np_linalg_norm(self):
+        # repr tells every bit apart, the sign of zero included.
+        rng = np.random.default_rng(37)
+        samples = [-0.0 * np.ones((2, 2)), np.zeros((0, 3)), np.array([3.0, -4.0])]
+        for shape in [(1, 1), (2, 2), (3, 5), (5, 3), (10, 10)]:
+            M = rng.standard_normal(shape)
+            M[rng.random(shape) < 0.3] = 0.0
+            samples.append(M)
+        for M in samples:
+            assert repr(spectral_norm(M)) == repr(float(np.linalg.norm(M, 2)))
+
     def test_reactor_matrix_vs_power_iteration(self):
         # Independent oracle: power iteration on A^T A with a fixed start.
         G = A_REACTOR.T @ A_REACTOR
@@ -219,3 +230,44 @@ class TestSolveLyapunov:
     def test_rejects_asymmetric_q(self):
         with pytest.raises(ValueError, match="symmetric"):
             solve_lyapunov(-np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_leaves_definiteness_to_the_certificate(self):
+        # An indefinite Q gives an indefinite P; the design's certificate
+        # refuses it, the solver only checks the residual.
+        P = solve_lyapunov(-np.eye(2), np.diag([1.0, -1.0]))
+        npt.assert_allclose(P, np.diag([0.5, -0.5]), atol=1e-15)
+
+    def test_kronecker_assembly_matches_np_kron_bitwise(self, monkeypatch):
+        # Oracle: the two Kronecker products summed. Negative entries and
+        # exact zeros make signed-zero products, which the int64 views count.
+        rng = np.random.default_rng(29)
+        solve = np.linalg.solve
+        seen = []
+        signed_zeros = 0
+
+        def capture(coeff, rhs):
+            seen.append(coeff.copy())
+            return solve(coeff, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", capture)
+        for n in range(1, 11):
+            A = rng.standard_normal((n, n))
+            A[rng.random((n, n)) < 0.3] = 0.0
+            A[rng.random((n, n)) < 0.2] = -0.0
+            # A dominant negative diagonal keeps A Hurwitz (Gershgorin).
+            np.fill_diagonal(A, -1.0 - np.abs(A).sum(axis=1))
+            solve_lyapunov(A, np.eye(n))
+            I = np.eye(n)
+            oracle = np.kron(A.T, I) + np.kron(I, A.T)
+            assert np.array_equal(seen[-1].view(np.int64), oracle.view(np.int64))
+            signed_zeros += np.signbit(oracle[oracle == 0.0]).sum()
+        assert len(seen) == 10 and signed_zeros > 0
+
+    def test_out_of_memory_is_a_design_error(self, monkeypatch):
+        def exhausted(coeff, rhs):
+            raise MemoryError("Unable to allocate the Kronecker system")
+
+        monkeypatch.setattr(np.linalg, "solve", exhausted)
+        with pytest.raises(DesignError, match="6-state plant") as refused:
+            solve_lyapunov(random_hurwitz(np.random.default_rng(31), 6), np.eye(6))
+        assert refused.value.__cause__ is None

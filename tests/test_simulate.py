@@ -242,6 +242,21 @@ class TestTransmissionsDue:
             self._config(), np.array([-1.0, -np.inf]))
         assert fired == [0]
 
+    @pytest.mark.parametrize("mode", ["decentralized", "centralized", "centralized-nodwell"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_is_refused(self, mode, bad):
+        # Sensor 1 is designed out (w = inf) and its error is never read,
+        # but a non-finite component there is refused all the same.
+        for state in (np.array([bad, 5.0]), np.array([1.0, bad])):
+            with pytest.raises(SimulationError, match=r"non-finite at t=0\.25$"):
+                transmissions_due(0.25, state, np.array([1.0, 5.0]), self._config(),
+                                  np.array([-1.0, -np.inf]), mode)
+
+    def test_overflowing_component_sum_is_not_refused(self):
+        state = np.array([1.5e308, 1.5e308])
+        assert transmissions_due(
+            0.0, state, state, self._config(), np.array([-1.0, -np.inf])) == []
+
     def test_centralized_uses_state_norm(self):
         # Error 0.2 is above 0.1 * |x_1| = 0.1 but below 0.1 * |x| = 0.5.
         config = TriggerConfig(
@@ -501,9 +516,23 @@ class TestRunBatch:
             run(batch_reactor(), horizon=0.01, scale=1e307)
 
     def test_overflowing_start_raises_simulation_error(self):
-        # Scaling x0 by 1e308 overflows before the first step.
-        with pytest.raises(SimulationError, match="non-finite at t="):
+        # Scaling x0 by 1e308 overflows before the first step, and the
+        # trigger pass at the first boundary refuses it.
+        with pytest.raises(SimulationError, match="non-finite at t=0$"):
             run(batch_reactor(), horizon=0.01, scale=1e308)
+
+    def test_infinite_start_of_designed_out_sensor_is_refused(self):
+        # K ignores x_1, so column 1 of 2 P B K is zero and w_1 = inf: the
+        # trigger never reads that sensor's error. Its infinite start is
+        # still refused at t=0, before the plant spreads it.
+        scenario = models.load_lti({
+            "A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0], [0.0]], "K": [[-1.0, 0.0]],
+            "Q": [[1.0, 0.0], [0.0, 1.0]], "theta": [0.5, 0.5], "sigma": 0.5,
+            "x0": [1.0, 1e300], "xs0": [1.0, 1.0], "horizon": 0.01})
+        design = models.design_scenario(scenario)
+        assert np.isinf(design.config.thresholds[1])
+        with pytest.raises(SimulationError, match="non-finite at t=0$"):
+            run(scenario, design=design, scale=1e10)
 
     def test_overflowing_certificate_values_are_inf(self, tmp_path):
         # x^T P x overflows near |x| = 1e200, where inf products of P's
